@@ -42,9 +42,9 @@ cargo test -q --test ensemble_determinism -- --test-threads=8
 echo "==> disc_faults --smoke"
 cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 
-# Kernel/sweep equality tripwire: asserts H equality between scalar,
-# bit-plane fast, and SoA tuple-plane paths on the dense acceptance
-# tuple, a King's-graph sweep, and a dense SoA sweep — and that banked
+# Kernel/sweep equality tripwire: asserts H equality between the scalar
+# golden and the SoA tuple-plane kernel on the dense acceptance tuple, a
+# King's-graph sweep, and a dense SoA sweep — and that banked
 # multi-round sweeps keep the H trajectory and compute cycles
 # bit-identical (timing ratios are only gated in the full run).
 echo "==> perf_kernels --smoke"

@@ -18,8 +18,8 @@ fn bench_sram(c: &mut Criterion) {
     for row in 0..100 {
         tile.write_row(row, &pattern).unwrap();
     }
-    group.bench_function("compute_xnor_full_row_800", |b| {
-        b.iter(|| black_box(tile.compute_xnor_full_row(black_box(37), true).unwrap()))
+    group.bench_function("compute_xnor_row_800", |b| {
+        b.iter(|| black_box(tile.compute_xnor(black_box(37), true, 0..800).unwrap()))
     });
     group.bench_function("compute_xnor_bit_of_800", |b| {
         b.iter(|| {

@@ -76,7 +76,7 @@ fn main() {
     }
     let mut discharges = 0u64;
     for row in 0..100 {
-        let out = tile.compute_xnor_full_row(row, true).expect("in bounds");
+        let out = tile.compute_xnor(row, true, 0..100).expect("in bounds");
         discharges += out.iter().filter(|&&b| b).count() as u64;
     }
     println!("10,000 bitcells driven with J = 1: {discharges} discharges (expected 5,000 on the checkerboard)");

@@ -4,23 +4,23 @@
 //! `SramTile`s so the comparison isolates the kernel:
 //!
 //! * **per H-compute** — a dense degree-256, R=8 tuple (the acceptance
-//!   shape for the bit-plane fast path), `compute_tuple` vs
-//!   `compute_tuple_fast` with a reused [`ComputeScratch`];
+//!   shape for the bit-plane kernel);
 //! * **per sweep** — one full update pass over every spin of a King's
 //!   graph, tuples prebuilt so the loop measures compute, not mapping;
 //! * **per dense sweep** — a full pass over a set of dense degree-256
-//!   tuples, `compute_tuple` vs `compute_tuple_soa` against prebuilt
-//!   [`TuplePlanes`] SoA arenas — the sweep-level figure the SoA
-//!   refactor exists to close (encode work hoisted out of the loop);
+//!   tuples — the sweep-level figure the SoA arenas exist to close
+//!   (encode work hoisted out of the loop);
 //! * **banked sweeps** — metered machine cycles on multi-round King's
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
 //!   sram22-style banking removes from the critical path.
 //!
-//! Every timed pair is asserted H-identical first (the differential
-//! proptests in `tests/plane_equivalence.rs` prove the full counter
-//! contract; this harness re-checks H as a cheap tripwire), then the
-//! measured ns/call and speedups are printed and written to
-//! `BENCH_perf.json`. The full run asserts the ≥5× acceptance bar on
+//! The first three time the scalar golden `compute_tuple` against the
+//! machine's kernel, `compute_tuple_soa` with a reused [`ComputeScratch`]
+//! and prebuilt [`TuplePlanes`] SoA arenas. Every timed pair is asserted
+//! H-identical first (the differential proptests in
+//! `tests/plane_equivalence.rs` prove the full counter contract; this
+//! harness re-checks H as a cheap tripwire), then the measured ns/call
+//! and speedups are printed and written to `BENCH_perf.json`. The full run asserts the ≥5× acceptance bar on
 //! the dense kernel and the ≥6× bar on the dense SoA sweep for every
 //! design; `--smoke` runs reduced reps for CI, checks equality only
 //! (CI machines are too noisy to gate on a timing ratio), and never
@@ -112,56 +112,12 @@ impl Measurement {
     }
 }
 
-/// Times one design on one tuple set; asserts H equality per tuple.
+/// Times one design's full pass over `tuples`, scalar vs SoA tuple
+/// planes, in ns per pass; asserts H equality per tuple first. The
+/// `TuplePlanes` arenas are built once outside the timed region — exactly
+/// the machine's usage, where encode work happens at solve setup, not per
+/// sweep.
 fn measure(kind: DesignKind, enc: &MixedEncoding, tuples: &[SpinTuple], iters: u32) -> Measurement {
-    let design = stationarity(kind);
-    let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
-    let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
-    let mut tile = SramTile::new(rows, cols);
-    let mut ctx = ComputeContext::new();
-    let mut scratch = ComputeScratch::new();
-
-    // Tripwire: both paths agree on H for every tuple before timing.
-    for tuple in tuples {
-        let hs = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
-        let hf = design.compute_tuple_fast(&mut tile, enc, tuple, Spin::Up, &mut ctx, &mut scratch);
-        assert_eq!(hs, hf, "{kind}: fast path diverged from scalar");
-        assert_eq!(hs, tuple.local_field(), "{kind}: H diverged from golden");
-    }
-
-    // Warm up, then time. One "call" sweeps the whole tuple set, so the
-    // per-call figure divides by the set size afterwards.
-    let per_set = |ns: f64| ns / tuples.len().max(1) as f64;
-    let scalar_ns = ns_per_call(iters, || {
-        for tuple in tuples {
-            let h = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
-            std::hint::black_box(h);
-        }
-    });
-    let plane_ns = ns_per_call(iters, || {
-        for tuple in tuples {
-            let h =
-                design.compute_tuple_fast(&mut tile, enc, tuple, Spin::Up, &mut ctx, &mut scratch);
-            std::hint::black_box(h);
-        }
-    });
-    Measurement {
-        design: kind.to_string(),
-        scalar_ns: per_set(scalar_ns),
-        plane_ns: per_set(plane_ns),
-    }
-}
-
-/// Times one design's full sweep, scalar vs SoA tuple planes; asserts H
-/// equality per tuple first. The `TuplePlanes` arenas are built once
-/// outside the timed region — exactly the machine's usage, where encode
-/// work happens at solve setup, not per sweep.
-fn measure_soa(
-    kind: DesignKind,
-    enc: &MixedEncoding,
-    tuples: &[SpinTuple],
-    iters: u32,
-) -> Measurement {
     let design = stationarity(kind);
     let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
@@ -326,15 +282,7 @@ fn main() {
     let tuples = graph_tuples(&graph, &spins);
     let sweep: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| {
-            let m = measure(kind, &enc, &tuples, sweep_iters);
-            // Re-scale per-tuple ns back up to the full-sweep figure.
-            Measurement {
-                design: m.design,
-                scalar_ns: m.scalar_ns * tuples.len() as f64,
-                plane_ns: m.plane_ns * tuples.len() as f64,
-            }
-        })
+        .map(|kind| measure(kind, &enc, &tuples, sweep_iters))
         .collect();
     print_table(
         &format!(
@@ -353,14 +301,7 @@ fn main() {
         .collect();
     let sweep_dense: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| {
-            let m = measure_soa(kind, &enc, &dense_set, dense_iters);
-            Measurement {
-                design: m.design,
-                scalar_ns: m.scalar_ns,
-                plane_ns: m.plane_ns,
-            }
-        })
+        .map(|kind| measure(kind, &enc, &dense_set, dense_iters))
         .collect();
     print_table(
         &format!(
@@ -433,8 +374,8 @@ fn main() {
 
     if smoke {
         println!(
-            "smoke: fast==scalar and soa==scalar H equality held for every design at every \
-             granularity; banking left the H trajectory and compute cycles bit-identical"
+            "smoke: soa==scalar H equality held for every design at every granularity; \
+             banking left the H trajectory and compute cycles bit-identical"
         );
     } else {
         for m in &kernel {

@@ -67,25 +67,23 @@ impl ComputeContext {
     }
 }
 
-/// Reusable buffers for the designs' bit-plane fast path
-/// ([`Stationarity::compute_tuple_fast`]): encoded coupling planes, XNOR
-/// result planes, a packed output row, and the spin-row residency tag that
-/// lets the spin-stationary designs skip redundant spin-row rewrites.
+/// Reusable buffers for the designs' bit-plane kernels
+/// ([`Stationarity::compute_tuple_soa`]): XNOR result planes, a packed
+/// output row, and the spin-row residency tag that lets the
+/// spin-stationary designs skip redundant spin-row rewrites.
 ///
 /// Create one per machine and hoist it out of the sweep loop: buffers grow
-/// on demand and are reused across calls, so the steady-state fast path
+/// on demand and are reused across calls, so the steady-state kernel
 /// performs no heap allocation.
 ///
 /// The residency tag assumes the scratch stays paired with **one** tile:
 /// it remembers what was last written to that tile's row 0 and elides the
 /// write when the identical packed spin row reappears. Call
 /// [`ComputeScratch::invalidate`] if the paired tile's row 0 is written
-/// through any other path (the n2/n3 fast paths do this themselves).
+/// through any other path (the n2/n3 kernels do this themselves).
 #[derive(Debug, Clone, Default)]
 pub struct ComputeScratch {
-    /// Encoded coupling bit-planes: R planes of `plane_words(n)` words.
-    planes: Vec<u64>,
-    /// XNOR result planes, same shape as `planes`.
+    /// XNOR result planes: R planes of `plane_words(n)` words.
     xnor: Vec<u64>,
     /// Packed sensed-output row for the single-access kernels (n2/n3).
     row_out: Vec<u64>,
@@ -113,11 +111,8 @@ impl ComputeScratch {
         self.resident = None;
     }
 
-    fn ensure_planes(&mut self, r: u32, words: usize) {
+    fn ensure_xnor(&mut self, r: u32, words: usize) {
         let need = to_index(r) * words;
-        if self.planes.len() < need {
-            self.planes.resize(need, 0);
-        }
         if self.xnor.len() < need {
             self.xnor.resize(need, 0);
         }
@@ -126,22 +121,6 @@ impl ComputeScratch {
     fn ensure_row_out(&mut self, words: usize) {
         if self.row_out.len() < words {
             self.row_out.resize(words, 0);
-        }
-    }
-
-    /// Sizes the buffers for the IC-stationary batched schedule: `planes`
-    /// doubles as the per-row encoded-coupling words (`n` of them),
-    /// `row_out` holds one sensed word per row, and `packed_row` holds
-    /// the `drive_words` row-aligned drive bits.
-    fn ensure_row_batch(&mut self, n: usize, drive_words: usize) {
-        if self.planes.len() < n {
-            self.planes.resize(n, 0);
-        }
-        if self.row_out.len() < n {
-            self.row_out.resize(n, 0);
-        }
-        if self.packed_row.len() < drive_words {
-            self.packed_row.resize(drive_words, 0);
         }
     }
 
@@ -154,26 +133,9 @@ impl ComputeScratch {
         }
     }
 
-    /// Packs the tuple's neighbor spins from the AoS tuple and writes them
-    /// to the tile's row 0 through [`ComputeScratch::writeback_spin_row`].
-    fn upload_spin_row(&mut self, tile: &mut SramTile, tuple: &SpinTuple) {
-        let n = tuple.degree();
-        let words = MixedEncoding::plane_words(n);
-        self.ensure_spin_row(words);
-        for w in &mut self.packed_row[..words] {
-            *w = 0;
-        }
-        for (k, s) in tuple.neighbor_spins.iter().enumerate() {
-            if s.bit() {
-                self.packed_row[k / 64] |= 1u64 << (k % 64);
-            }
-        }
-        self.writeback_spin_row(tile, tuple.target, n);
-    }
-
     /// Uploads a pre-packed spin row (the SoA `spin_words` arena) to the
-    /// tile's row 0 through [`ComputeScratch::writeback_spin_row`] — the
-    /// zero-repack path of [`Stationarity::compute_tuple_soa`].
+    /// tile's row 0 through [`ComputeScratch::writeback_spin_row`] — no
+    /// per-compute spin re-pack.
     fn upload_spin_row_words(
         &mut self,
         tile: &mut SramTile,
@@ -245,13 +207,17 @@ pub trait Stationarity {
         ctx: &mut ComputeContext,
     ) -> i64;
 
-    /// Bit-plane fast path: identical `H_σ`, identical
+    /// Bit-plane kernel: identical `H_σ`, identical
     /// [`sachi_mem::sram::TileStats`] deltas, and identical
-    /// [`ComputeContext`] updates to [`Stationarity::compute_tuple`]
-    /// (proven by differential proptests), with zero steady-state heap
-    /// allocation — all buffers live in `scratch` and are reused across
-    /// calls. The default implementation falls back to the scalar path;
-    /// all four designs override it with word-parallel plane kernels.
+    /// [`ComputeContext`] updates to the scalar golden
+    /// [`Stationarity::compute_tuple`] (proven by differential proptests),
+    /// with zero steady-state heap allocation — all buffers live in
+    /// `scratch` and are reused across calls. Every encoded operand comes
+    /// pre-computed from `view` — no per-compute `MixedEncoding` encode,
+    /// no spin re-pack. `view` must be the [`crate::tuple::TuplePlanes`]
+    /// view of `tuple` at `enc`'s resolution, kept current under spin
+    /// updates via [`crate::tuple::TuplePlanes::writeback_spin`]. This is
+    /// the only kernel [`crate::machine::SachiMachine`] runs.
     ///
     /// The one sanctioned divergence: the spin-stationary designs elide
     /// rewriting a spin row that is already resident in the paired tile
@@ -259,35 +225,6 @@ pub trait Stationarity {
     /// advance less than the scalar path when the same tuple is recomputed
     /// against unchanged spins. Stored tile bits, H, and every compute
     /// counter still match exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Stationarity::compute_tuple`].
-    fn compute_tuple_fast(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        target: Spin,
-        ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let _ = scratch;
-        self.compute_tuple(tile, enc, tuple, target, ctx)
-    }
-
-    /// Structure-of-arrays fast path: identical contract to
-    /// [`Stationarity::compute_tuple_fast`] (same `H_σ`, same
-    /// [`ComputeContext`] and [`sachi_mem::sram::TileStats`] deltas, same
-    /// sanctioned `bits_written` elision), but every encoded operand comes
-    /// pre-computed from `view` — no per-compute `MixedEncoding` encode,
-    /// no spin re-pack. `view` must be the [`crate::tuple::TuplePlanes`]
-    /// view of `tuple` at `enc`'s resolution, kept current under spin
-    /// updates via [`crate::tuple::TuplePlanes::writeback_spin`].
-    ///
-    /// The default implementation ignores `view` and falls back to the
-    /// AoS fast path; all four designs override it.
     ///
     /// # Panics
     ///
@@ -304,10 +241,7 @@ pub trait Stationarity {
         target: Spin,
         ctx: &mut ComputeContext,
         scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let _ = view;
-        self.compute_tuple_fast(tile, enc, tuple, target, ctx, scratch)
-    }
+    ) -> i64;
 
     /// Phase-1 (in-memory compute) cycles for a tuple of `n` neighbors.
     fn phase1_cycles(&self, n: u64, r: u32, row_bits: u64) -> u64;
@@ -369,43 +303,13 @@ fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
         .expect("tile sized by tile_requirements");
 }
 
-/// Shared phase-1 of the n1 fast paths: lay the spin row (skipping a
-/// redundant rewrite), encode the couplings into bit-planes, and run one
-/// word-parallel plane access per IC bit. The scalar n1a/n1b paths issue
-/// the same *multiset* of single-column accesses in different orders;
-/// tile counters are additive and order-independent, so one plane
-/// schedule serves both designs bit-exactly — only their queue notes and
-/// accumulation order differ. Returns the words per plane.
-fn n1_plane_phase1(
-    tile: &mut SramTile,
-    enc: &MixedEncoding,
-    tuple: &SpinTuple,
-    ctx: &mut ComputeContext,
-    scratch: &mut ComputeScratch,
-) -> usize {
-    let n = tuple.degree();
-    let r = enc.bits();
-    scratch.upload_spin_row(tile, tuple);
-    let words = MixedEncoding::plane_words(n);
-    scratch.ensure_planes(r, words);
-    enc.encode_into(&tuple.couplings, &mut scratch.planes)
-        .expect("coefficient fits the configured resolution");
-    for b in 0..to_index(r) {
-        let plane = &scratch.planes[b * words..(b + 1) * words];
-        let out = &mut scratch.xnor[b * words..(b + 1) * words];
-        tile.compute_xnor_plane(0, plane, 0..n, out)
-            .expect("in-bounds by layout");
-        ctx.cycles += count_u64(n);
-        ctx.rwl_bits_fetched += count_u64(n);
-        ctx.xnor_ops += count_u64(n);
-    }
-    words
-}
-
 /// Shared phase-1 of the n1 SoA paths: upload the pre-packed spin row and
-/// drive the pre-encoded coupling planes straight out of the SoA arena —
-/// the same access multiset as [`n1_plane_phase1`] with the per-compute
-/// encode and spin re-pack gone. Returns the words per plane.
+/// drive the pre-encoded coupling planes straight out of the SoA arena,
+/// one word-parallel plane access per IC bit. The scalar n1a/n1b paths
+/// issue the same *multiset* of single-column accesses in different
+/// orders; tile counters are additive and order-independent, so one plane
+/// schedule serves both designs bit-exactly — only their queue notes
+/// differ. Returns the words per plane.
 fn n1_plane_phase1_soa(
     tile: &mut SramTile,
     enc: &MixedEncoding,
@@ -418,7 +322,7 @@ fn n1_plane_phase1_soa(
     let r = enc.bits();
     scratch.upload_spin_row_words(tile, tuple.target, n, view.spin_words);
     let words = MixedEncoding::plane_words(n);
-    scratch.ensure_planes(r, words);
+    scratch.ensure_xnor(r, words);
     for b in 0..to_index(r) {
         let plane = &view.coupling_planes[b * words..(b + 1) * words];
         let out = &mut scratch.xnor[b * words..(b + 1) * words];
@@ -520,35 +424,6 @@ impl Stationarity for SpinStationaryBitMajor {
                 }
                 v
             });
-        finish_from_products(products, tuple.field, r, ctx)
-    }
-
-    fn compute_tuple_fast(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        let words = n1_plane_phase1(tile, enc, tuple, ctx, scratch);
-        ctx.note_queue(count_u64(n) * (u64::from(r) + 1));
-        // Phases 3-5: decode each neighbor's product lane straight out of
-        // the XNOR planes by shift/add — no Vec<bool> round-trip.
-        let xnor = &scratch.xnor;
-        let products = tuple.neighbor_spins.iter().enumerate().map(|(k, &s)| {
-            let mut v = enc.decode_plane(xnor, words, k);
-            if s == Spin::Down {
-                v += 1;
-            }
-            v
-        });
         finish_from_products(products, tuple.field, r, ctx)
     }
 
@@ -657,38 +532,6 @@ impl Stationarity for SpinStationaryIcMajor {
         -acc
     }
 
-    fn compute_tuple_fast(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        // Same plane schedule as n1a (the scalar paths differ only in call
-        // order, which the additive counters cannot observe); the IC-major
-        // queue discipline shows up solely in the closed-form queue note.
-        let words = n1_plane_phase1(tile, enc, tuple, ctx, scratch);
-        ctx.note_queue(u64::from(r) + 1);
-        let mut acc = i64::from(tuple.field);
-        for (k, &s) in tuple.neighbor_spins.iter().enumerate() {
-            let mut v = enc.decode_plane(&scratch.xnor, words, k);
-            if s == Spin::Down {
-                v += 1;
-            }
-            acc += v;
-            ctx.adder_bit_ops += u64::from(r) + 2;
-            ctx.decisions += 1;
-        }
-        -acc
-    }
-
     fn compute_tuple_soa(
         &self,
         tile: &mut SramTile,
@@ -785,77 +628,6 @@ impl Stationarity for IcStationary {
             acc += v;
             ctx.adder_bit_ops += u64::from(r) + 2;
             ctx.decisions += 1;
-        }
-        -acc
-    }
-
-    fn compute_tuple_fast(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        // The coupling rows overwrite whatever the tile held; any spin-row
-        // residency another design recorded is void.
-        scratch.invalidate();
-        let cols = tile.cols();
-        let rbits = to_index(r);
-        let drive_words = MixedEncoding::plane_words(n);
-        scratch.ensure_row_batch(n, drive_words);
-        let ComputeScratch {
-            planes,
-            row_out,
-            packed_row,
-            ..
-        } = scratch;
-        // Layout: row k holds encode(J_ik), all rows in one batched write.
-        for (slot, &j) in planes.iter_mut().zip(tuple.couplings.iter()) {
-            *slot = enc
-                .encode_word(i64::from(j))
-                .expect("coefficient fits the configured resolution");
-        }
-        tile.write_rows_from_words(0, 0, rbits, &planes[..n])
-            .expect("tile sized by tile_requirements");
-        // Phase 1: one neighbor per cycle, R columns sensed at once — all
-        // N accesses issued as a single batch with per-row drive bits.
-        for w in &mut packed_row[..drive_words] {
-            *w = 0;
-        }
-        for (k, s) in tuple.neighbor_spins.iter().enumerate() {
-            if s.bit() {
-                packed_row[k / 64] |= 1u64 << (k % 64);
-            }
-        }
-        tile.compute_xnor_row_batch(
-            0,
-            n,
-            &packed_row[..drive_words],
-            0..cols,
-            0..rbits,
-            &mut row_out[..n],
-        )
-        .expect("in-bounds by layout");
-        let nn = count_u64(n);
-        ctx.cycles += nn;
-        ctx.rwl_bits_fetched += nn;
-        ctx.xnor_ops += nn * u64::from(r);
-        ctx.adder_bit_ops += nn * (u64::from(r) + 2);
-        ctx.decisions += nn;
-        let mut acc = i64::from(tuple.field);
-        for (out, &s) in row_out[..n].iter().zip(tuple.neighbor_spins.iter()) {
-            let mut v = enc.decode_word(*out);
-            if s == Spin::Down {
-                v += 1;
-            }
-            acc += v;
         }
         -acc
     }
@@ -1021,76 +793,6 @@ impl Stationarity for MixedStationary {
         -acc
     }
 
-    fn compute_tuple_fast(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        target: Spin,
-        ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        scratch.invalidate();
-        let rbits = to_index(r);
-        let group = rbits + 1;
-        let per_row = (tile.cols() / group).max(1);
-        scratch.ensure_row_out(tile.cols().div_ceil(64));
-        // Layout: per neighbor, an (R+1)-bit group [J bits..., σ_j bit]
-        // packed into one word write.
-        for (k, (&j, &s)) in tuple
-            .couplings
-            .iter()
-            .zip(tuple.neighbor_spins.iter())
-            .enumerate()
-        {
-            let row = k / per_row;
-            let col = (k % per_row) * group;
-            let word = enc
-                .encode_word(i64::from(j))
-                .expect("coefficient fits the configured resolution")
-                | (u64::from(s.bit()) << rbits);
-            tile.write_bits_from_word(row, col, group, word)
-                .expect("tile sized by tile_requirements");
-        }
-        // Phase 1: one cycle per occupied row; σ_i on the RWL, the whole
-        // used width sensed into the packed row buffer, then each group's
-        // product decoded by shift/add (eqn. 5 select on the word).
-        let rows = n.div_ceil(per_row);
-        let mut acc = i64::from(tuple.field);
-        for row in 0..rows {
-            let in_row = per_row.min(n - row * per_row);
-            let width = in_row * group;
-            tile.compute_xnor_packed(row, target.bit(), 0..width, 0..width, &mut scratch.row_out)
-                .expect("in-bounds by layout");
-            ctx.cycles += 1;
-            ctx.rwl_bits_fetched += 1;
-            ctx.xnor_ops += count_u64(width);
-            for g in 0..in_row {
-                let x = gather_bits(&scratch.row_out, g * group, rbits);
-                // Equality bit σ_j XNOR σ_i came out of the array with the
-                // same pulse.
-                let equal = gather_bits(&scratch.row_out, g * group + rbits, 1) == 1;
-                let sigma_j = if equal { target } else { target.flipped() };
-                // eqn. 5 select: XNOR output if spins equal, XOR otherwise
-                // (decode_word masks the complement back to R bits).
-                let selected = if equal { x } else { !x };
-                let mut v = enc.decode_word(selected);
-                if sigma_j == Spin::Down {
-                    v += 1;
-                }
-                acc += v;
-                ctx.adder_bit_ops += u64::from(r) + 2;
-                ctx.decisions += 1;
-            }
-        }
-        -acc
-    }
-
     fn compute_tuple_soa(
         &self,
         tile: &mut SramTile,
@@ -1142,7 +844,7 @@ impl Stationarity for MixedStationary {
                 .expect("tile sized by tile_requirements");
             // Phase 1: σ_i on the RWL, the whole used width sensed, each
             // group's product decoded by shift/add (eqn. 5 select on the
-            // word) — identical to the AoS fast path from here on.
+            // word).
             tile.compute_xnor_packed(row, target.bit(), 0..width, 0..width, &mut scratch.row_out)
                 .expect("in-bounds by layout");
             ctx.cycles += 1;
@@ -1229,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_bit_identical_to_scalar_path() {
+    fn soa_kernel_is_bit_identical_to_scalar_path() {
         for kind in DesignKind::ALL {
             for seed in 0..3u64 {
                 let g = topology::king(4, 4, |i, j| ((i * 3 + j * 7) % 13) as i32 - 6).unwrap();
@@ -1241,13 +943,10 @@ mod tests {
                 let (rows, cols) = design.tile_requirements(g.max_degree(), enc.bits(), 800);
                 let planes = TuplePlanes::new(&store, &enc).unwrap();
                 let mut tile_s = SramTile::new(rows, cols);
-                let mut tile_f = SramTile::new(rows, cols);
                 let mut tile_o = SramTile::new(rows, cols);
                 let mut ctx_s = ComputeContext::new();
-                let mut ctx_f = ComputeContext::new();
                 let mut ctx_o = ComputeContext::new();
                 let mut scratch = ComputeScratch::new();
-                let mut scratch_o = ComputeScratch::new();
                 for i in 0..16 {
                     let hs = design.compute_tuple(
                         &mut tile_s,
@@ -1256,14 +955,6 @@ mod tests {
                         spins.get(i),
                         &mut ctx_s,
                     );
-                    let hf = design.compute_tuple_fast(
-                        &mut tile_f,
-                        &enc,
-                        store.tuple(i),
-                        spins.get(i),
-                        &mut ctx_f,
-                        &mut scratch,
-                    );
                     let ho = design.compute_tuple_soa(
                         &mut tile_o,
                         &enc,
@@ -1271,24 +962,14 @@ mod tests {
                         planes.view(i),
                         spins.get(i),
                         &mut ctx_o,
-                        &mut scratch_o,
+                        &mut scratch,
                     );
-                    assert_eq!(hs, hf, "{kind} H mismatch at spin {i}");
-                    assert_eq!(hs, ho, "{kind} SoA H mismatch at spin {i}");
-                    assert_eq!(ctx_s, ctx_f, "{kind} ComputeContext mismatch at spin {i}");
-                    assert_eq!(
-                        ctx_s, ctx_o,
-                        "{kind} SoA ComputeContext mismatch at spin {i}"
-                    );
+                    assert_eq!(hs, ho, "{kind} H mismatch at spin {i}");
+                    assert_eq!(ctx_s, ctx_o, "{kind} ComputeContext mismatch at spin {i}");
                     assert_eq!(
                         tile_s.stats(),
-                        tile_f.stats(),
-                        "{kind} TileStats mismatch at spin {i}"
-                    );
-                    assert_eq!(
-                        tile_f.stats(),
                         tile_o.stats(),
-                        "{kind} SoA TileStats mismatch at spin {i}"
+                        "{kind} TileStats mismatch at spin {i}"
                     );
                 }
             }
@@ -1296,33 +977,36 @@ mod tests {
     }
 
     #[test]
-    fn spin_stationary_fast_path_skips_redundant_spin_rewrites() {
+    fn spin_stationary_soa_kernel_skips_redundant_spin_rewrites() {
         // Recomputing the same tuple against unchanged spins: the scalar
-        // path rewrites the resident spin row every call; the fast path
+        // path rewrites the resident spin row every call; the SoA kernel
         // writes it once and elides the rest (the spins are *stationary*).
         let g = topology::king(3, 3, |_, _| 2).unwrap();
         let spins = SpinVector::filled(9, Spin::Up);
         let store = TupleStore::new(&g, &spins);
         let enc = MixedEncoding::new(4).unwrap();
+        let planes = TuplePlanes::new(&store, &enc).unwrap();
         for kind in [DesignKind::N1a, DesignKind::N1b] {
             let design = stationarity(kind);
             let (rows, cols) = design.tile_requirements(8, 4, 800);
             let mut tile = SramTile::new(rows, cols);
             let mut ctx = ComputeContext::new();
             let mut scratch = ComputeScratch::new();
-            let h0 = design.compute_tuple_fast(
+            let h0 = design.compute_tuple_soa(
                 &mut tile,
                 &enc,
                 store.tuple(4),
+                planes.view(4),
                 spins.get(4),
                 &mut ctx,
                 &mut scratch,
             );
             let written_once = tile.stats().bits_written;
-            let h1 = design.compute_tuple_fast(
+            let h1 = design.compute_tuple_soa(
                 &mut tile,
                 &enc,
                 store.tuple(4),
+                planes.view(4),
                 spins.get(4),
                 &mut ctx,
                 &mut scratch,
@@ -1335,10 +1019,11 @@ mod tests {
             );
             assert_eq!(scratch.skipped_spin_writes, 1, "{kind}");
             // A different tuple re-arms the write.
-            design.compute_tuple_fast(
+            design.compute_tuple_soa(
                 &mut tile,
                 &enc,
                 store.tuple(5),
+                planes.view(5),
                 spins.get(5),
                 &mut ctx,
                 &mut scratch,

@@ -134,10 +134,12 @@ pub struct RunReport {
     /// Fault-injection and recovery accounting (all zeros without a
     /// fault profile).
     pub faults: FaultReport,
-    /// Annealer decisions served by the bit-plane fast path.
+    /// Annealer decisions served by the bit-plane kernel (every decision
+    /// [`SachiMachine`] makes).
     pub fast_path_computes: u64,
-    /// Annealer decisions served by the scalar reference path (pinned
-    /// by a non-inert fault profile).
+    /// Annealer decisions served by the scalar reference kernel. Always
+    /// zero for [`SachiMachine`]; kept so report consumers and metric
+    /// exports keep their shape.
     pub scalar_path_computes: u64,
     /// Redundant spin-row rewrites elided by the scratch residency tag.
     pub skipped_spin_writes: u64,
@@ -389,28 +391,13 @@ impl SachiMachine {
             design.tile_requirements(max_degree, enc.bits(), geometry.row_bits());
         let tile_params = TileParams::new(tile_rows, tile_cols).with_banks(self.config.bank_count);
         let mut tile = SramTile::with_params(tile_params);
-        // Per-machine scratch for the bit-plane fast path, hoisted out of
-        // the sweep loop so the hot path never allocates. A non-inert
-        // fault profile pins the scalar path: the injector's positional
-        // RNG contract is defined against the scalar call sequence, and
-        // PR 3's zero-rate-is-identity guarantee makes the selection
-        // below provably unobservable.
+        // Per-machine scratch for the bit-plane kernel, hoisted out of the
+        // sweep loop so the hot path never allocates.
         let mut scratch = ComputeScratch::new();
-        let use_fast = self
-            .config
-            .fault
-            .as_ref()
-            .is_none_or(|profile| profile.model.is_inert());
-        // SoA mirror of the tuple store: every encoded operand the fast
-        // paths need, computed once here instead of per compute. The
-        // scalar path (pinned by a non-inert fault profile) keeps reading
-        // the AoS tuples, so the positional fault-RNG contract is
-        // untouched.
-        let mut soa = if use_fast {
-            Some(TuplePlanes::new(&tuples, &enc).expect("encoding sized from graph coefficients"))
-        } else {
-            None
-        };
+        // SoA mirror of the tuple store: every encoded operand the kernel
+        // needs, computed once here instead of per compute.
+        let mut planes =
+            TuplePlanes::new(&tuples, &enc).expect("encoding sized from graph coefficients");
 
         // Partition spins into compute-array rounds by resident footprint.
         let capacity_bits = geometry.total_bits().get();
@@ -569,19 +556,15 @@ impl SachiMachine {
                                 .all(|(&j, &s)| s == spins.get(to_index(j))),
                             "tuple-rep copies stale at spin {i}: the Fig. 8b update path missed a refresh"
                         );
-                        if let Some(planes) = soa.as_ref() {
-                            design.compute_tuple_soa(
-                                &mut tile,
-                                &enc,
-                                tuple,
-                                planes.view(i),
-                                spins.get(i),
-                                &mut ctx,
-                                &mut scratch,
-                            )
-                        } else {
-                            design.compute_tuple(&mut tile, &enc, tuple, spins.get(i), &mut ctx)
-                        }
+                        design.compute_tuple_soa(
+                            &mut tile,
+                            &enc,
+                            tuple,
+                            planes.view(i),
+                            spins.get(i),
+                            &mut ctx,
+                            &mut scratch,
+                        )
                     };
                     let tuple_cycles = ctx.cycles - cycles_before_tuple;
                     let assigned = match self.config.design {
@@ -672,9 +655,7 @@ impl SachiMachine {
                         // Fig. 8b update path: adjacency read + relevant
                         // tuple copy writes in the storage array.
                         let copies = tuples.update_spin(i, new);
-                        if let Some(planes) = soa.as_mut() {
-                            planes.writeback_spin(&tuples, i, new);
-                        }
+                        planes.writeback_spin(&tuples, i, new);
                         ledger.record(
                             EnergyComponent::SramRead,
                             tech.rbl_energy_per_bit() * copies,
@@ -846,8 +827,8 @@ impl SachiMachine {
             cross_tuple_rereads: tuples.cross_tuple_rereads(),
             prefetches: dram.prefetches_issued(),
             faults: fault_report,
-            fast_path_computes: if use_fast { annealer_decisions } else { 0 },
-            scalar_path_computes: if use_fast { 0 } else { annealer_decisions },
+            fast_path_computes: annealer_decisions,
+            scalar_path_computes: 0,
             skipped_spin_writes: scratch.skipped_spin_writes,
             tile: *stats,
             dram: dram.stats(),

@@ -266,10 +266,10 @@ struct PlaneSlot {
 /// design kernels consume, pre-computed once and stored as contiguous u64
 /// word arenas.
 ///
-/// The AoS tuples keep one `Vec<i32>`/`Vec<Spin>` pair per tuple, so every
-/// fast-path compute re-runs `MixedEncoding` encode over the couplings and
-/// re-packs the spin bits — a per-tuple gather that BENCH_perf.json shows
-/// dominating the sweep once the XNOR kernels are fast. The SoA mirror
+/// The AoS tuples keep one `Vec<i32>`/`Vec<Spin>` pair per tuple, so a
+/// kernel reading them would re-run `MixedEncoding` encode over the
+/// couplings and re-pack the spin bits on every compute — a per-tuple
+/// gather that dominates the sweep once the XNOR kernels are fast. The SoA mirror
 /// hoists all of that out of the sweep loop:
 ///
 /// * `coupling_planes` — bit-transposed coupling planes (`r` planes of

@@ -1,5 +1,5 @@
 //! Chunked u64-lane kernels: the portable SIMD layer under the bit-plane
-//! fast paths.
+//! kernels.
 //!
 //! The compute kernels in [`crate::sram`] and the bulk decode in
 //! `sachi-core` all reduce to the same two word-level primitives — XNOR a

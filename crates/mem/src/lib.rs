@@ -14,7 +14,7 @@
 //!   (Fig. 4, Fig. 17 overflow, Sec. VII.2 scaling presets);
 //! * [`dram`] — DRAM controller with the Sec. IV.A prefetch counter;
 //! * [`fault`] — deterministic seeded fault injection (transient BER,
-//!   stuck-at cells, DRAM stream corruption) for the robustness layer.
+//!   read disturb, DRAM stream corruption) for the robustness layer.
 //!
 //! ## Example
 //!
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::cache::{CacheGeometry, CacheHierarchy};
     pub use crate::dram::{DramController, PrefetchCounter};
     pub use crate::energy::{EnergyComponent, EnergyLedger};
-    pub use crate::fault::{FaultCounters, FaultInjector, FaultModel, FaultRate, StuckCell};
+    pub use crate::fault::{FaultCounters, FaultInjector, FaultModel, FaultRate};
     pub use crate::l1cache::{Access, CacheMode, CacheStats, L1Cache};
     pub use crate::params::TechnologyParams;
     pub use crate::sram::{SramTile, TileStats};

@@ -22,7 +22,6 @@
 //! SACHI's reuse-aware designs.
 
 use crate::energy::{EnergyComponent, EnergyLedger};
-use crate::fault::FaultInjector;
 use crate::lanes;
 use crate::params::TechnologyParams;
 use crate::units::convert::count_u64;
@@ -499,7 +498,7 @@ impl SramTile {
     /// allocating a `Vec<bool>`. The first `ceil(active.end / 64)` words
     /// of `out` are fully overwritten — every bit outside `sense` is zero
     /// — and words beyond that prefix are untouched. This is the
-    /// zero-allocation kernel behind the designs' bit-plane fast path.
+    /// zero-allocation kernel behind the designs' bit-plane kernels.
     ///
     /// # Errors
     ///
@@ -706,7 +705,7 @@ impl SramTile {
     /// updates to one [`SramTile::compute_xnor_packed`] call per row —
     /// the per-row discharge, redundancy, access, and word-line sums are
     /// computed in the same order and merely accumulated across rows.
-    /// The batch exists so the IC-stationary fast path pays the bounds
+    /// The batch exists so the IC-stationary kernel pays the bounds
     /// checks once per *tuple* instead of once per *neighbor*.
     ///
     /// Restricted to single-word rows (`active.end <= 64`), which is the
@@ -989,68 +988,6 @@ impl SramTile {
         Ok(result)
     }
 
-    /// Compute access that senses the *entire* row (SACHI(n3): "`σ_i` is
-    /// shared across a complete row with no requirement of bit-line
-    /// select").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] if `row` is out of bounds.
-    pub fn compute_xnor_full_row(
-        &mut self,
-        row: usize,
-        input: bool,
-    ) -> Result<Vec<bool>, AccessError> {
-        self.compute_xnor(row, input, 0..self.cols)
-    }
-
-    /// Normal-mode range read through a [`FaultInjector`]: the stored
-    /// bits are read exactly as [`SramTile::read_range`] would, then the
-    /// injector applies transient flips and stuck-at overrides to the
-    /// *returned* values (a read fault corrupts the sensed data, not the
-    /// cell contents). Returns the possibly-corrupted bits and the number
-    /// of transient flips injected. With an inert model this is
-    /// bit-identical to `read_range` and consumes no RNG draws.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] on out-of-bounds.
-    pub fn read_range_with_faults(
-        &mut self,
-        row: usize,
-        cols: Range<usize>,
-        inj: &mut FaultInjector,
-    ) -> Result<(Vec<bool>, u64), AccessError> {
-        let start = cols.start;
-        let mut bits = self.read_range(row, cols)?;
-        let flips = inj.corrupt_sram_read(row, start, &mut bits);
-        Ok((bits, flips))
-    }
-
-    /// Ising-compute access through a [`FaultInjector`]: the discharge
-    /// pattern is computed exactly as [`SramTile::compute_xnor`] would,
-    /// then transient flips / stuck-at overrides corrupt the *sensed*
-    /// outputs. Energy accounting is untouched — a flipped sense
-    /// amplifier output costs the same as a correct one. Returns the
-    /// sensed values plus the transient flip count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] if `row` is out of bounds or `sense`
-    /// exceeds the row width.
-    pub fn compute_xnor_with_faults(
-        &mut self,
-        row: usize,
-        input: bool,
-        sense: Range<usize>,
-        inj: &mut FaultInjector,
-    ) -> Result<(Vec<bool>, u64), AccessError> {
-        let start = sense.start;
-        let mut out = self.compute_xnor(row, input, sense)?;
-        let flips = inj.corrupt_sram_read(row, start, &mut out);
-        Ok((out, flips))
-    }
-
     /// Fault-injection hook: flips the stored bit at `(row, col)` without
     /// booking any access energy, returning the new value. Models a
     /// particle-strike/retention upset for resilience testing — the
@@ -1073,7 +1010,7 @@ impl SramTile {
 /// Gathers `len` (≤ 64) bits starting at bit `start` from a packed
 /// LSB-first word slice, as produced by the packed compute kernels: bit
 /// `start + i` of the slice lands in bit `i` of the result. This is the
-/// shift/add decode primitive the bit-plane fast path uses in place of
+/// shift/add decode primitive the bit-plane kernels use in place of
 /// `Vec<bool>` round-trips.
 ///
 /// # Panics
@@ -1178,7 +1115,7 @@ mod tests {
     #[test]
     fn full_row_compute_has_no_redundancy() {
         let mut t = tile_with_pattern();
-        t.compute_xnor_full_row(0, false).unwrap();
+        t.compute_xnor(0, false, 0..t.cols()).unwrap();
         assert_eq!(t.stats().redundant_discharges, 0);
         // Row 0 has three 0 bits; XNOR with 0 -> three discharges.
         assert_eq!(t.stats().rbl_discharges, 3);
@@ -1188,7 +1125,7 @@ mod tests {
     fn energy_ledger_prices_counters() {
         let params = TechnologyParams::default();
         let mut t = tile_with_pattern();
-        t.compute_xnor_full_row(2, true).unwrap();
+        t.compute_xnor(2, true, 0..t.cols()).unwrap();
         let ledger = t.stats().energy(&params);
         // 2 RWL activations * 0.05 pJ + 6 discharges * 0.035 pJ + 18 writes * 0.05 pJ.
         let expected = 2.0 * 0.05 + 6.0 * 0.035 + 18.0 * 0.05;
@@ -1229,7 +1166,7 @@ mod tests {
     #[test]
     fn stats_merge_and_reset() {
         let mut a = tile_with_pattern();
-        a.compute_xnor_full_row(0, true).unwrap();
+        a.compute_xnor(0, true, 0..a.cols()).unwrap();
         let mut s = TileStats::default();
         s.merge(a.stats());
         s.merge(a.stats());
@@ -1467,54 +1404,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_reads_are_identity_under_an_inert_model() {
-        use crate::fault::FaultModel;
-        let mut t = tile_with_pattern();
-        let mut clean = tile_with_pattern();
-        let mut inj = FaultModel::new(7).injector(0);
-        let (bits, flips) = t.read_range_with_faults(0, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(bits, clean.read_range(0, 0..6).unwrap());
-        let (out, flips) = t.compute_xnor_with_faults(0, true, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(out, clean.compute_xnor(0, true, 0..6).unwrap());
-        // Accounting identical to the fault-free path.
-        assert_eq!(t.stats(), clean.stats());
-    }
-
-    #[test]
-    fn faulted_reads_corrupt_outputs_not_cells() {
-        use crate::fault::{FaultModel, FaultRate};
-        let model = FaultModel::new(3).with_read_ber(FaultRate::from_ppb(1_000_000_000));
-        let mut inj = model.injector(0);
-        let mut t = tile_with_pattern();
-        let (bits, flips) = t.read_range_with_faults(0, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 6, "certainty BER flips every sensed bit");
-        assert_eq!(bits, vec![false, true, false, false, true, true]);
-        // The stored cells are untouched: a clean read still sees the truth.
-        assert_eq!(
-            t.read_range(0, 0..6).unwrap(),
-            vec![true, false, true, true, false, false]
-        );
-        let (out, flips) = t.compute_xnor_with_faults(0, true, 2..5, &mut inj).unwrap();
-        assert_eq!(flips, 3);
-        assert_eq!(out, vec![false, false, true]);
-    }
-
-    #[test]
-    fn stuck_cell_pins_the_sensed_window() {
-        use crate::fault::FaultModel;
-        let model = FaultModel::new(0).with_stuck_cell(0, 4, true);
-        let mut inj = model.injector(0);
-        let mut t = tile_with_pattern();
-        // Window 2..6 of row 0: stored [1, 1, 0, 0]; col 4 stuck at 1.
-        let (bits, flips) = t.read_range_with_faults(0, 2..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(bits, vec![true, true, true, false]);
-        assert_eq!(inj.counters().stuck_overrides, 1);
-    }
-
-    #[test]
     fn wide_rows_cross_word_boundaries() {
         let mut t = SramTile::new(2, 130);
         t.write_bit(1, 129, true).unwrap();
@@ -1675,7 +1564,8 @@ mod proptests {
 
         /// `compute_xnor_plane` is bit-identical — packed outputs and
         /// `TileStats` deltas — to the per-column `compute_xnor_bit` loop
-        /// it replaces (the closed-form counter contract of the fast path).
+        /// it replaces (the closed-form counter contract of the bit-plane
+        /// kernels).
         #[test]
         fn plane_kernel_matches_scalar_bit_loop(
             stored in prop::collection::vec(any::<bool>(), 1..150),

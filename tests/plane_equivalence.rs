@@ -1,7 +1,7 @@
-//! Differential proptests for the bit-plane fast path.
+//! Differential proptests for the bit-plane SoA kernel.
 //!
 //! The two-path kernel contract (DESIGN.md): for every design,
-//! `compute_tuple_fast` must be **bit-identical** to `compute_tuple` in
+//! `compute_tuple_soa` must be **bit-identical** to `compute_tuple` in
 //! its H value, its `ComputeContext` counters (cycles, RWL fetches, XNOR
 //! ops, adder ops, decisions, queue peaks), and the tile's `TileStats`
 //! (activations, discharges, redundancy, reads, writes) — across all four
@@ -48,30 +48,19 @@ fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> SpinTuple {
     }
 }
 
-/// Runs all three paths (scalar, fast AoS, fast SoA) on freshly-sized
-/// twin tiles and asserts bit-exact equality of (H, `ComputeContext`,
+/// Runs both paths (scalar golden, SoA kernel) on freshly-sized twin
+/// tiles and asserts bit-exact equality of (H, `ComputeContext`,
 /// `TileStats`).
 fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, target: Spin) {
     let design = stationarity(kind);
     let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
     let mut tile_scalar = SramTile::new(rows, cols);
-    let mut tile_fast = SramTile::new(rows, cols);
     let mut tile_soa = SramTile::new(rows, cols);
     let mut ctx_scalar = ComputeContext::new();
-    let mut ctx_fast = ComputeContext::new();
     let mut ctx_soa = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
-    let mut scratch_soa = ComputeScratch::new();
     let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
     let h_scalar = design.compute_tuple(&mut tile_scalar, enc, tuple, target, &mut ctx_scalar);
-    let h_fast = design.compute_tuple_fast(
-        &mut tile_fast,
-        enc,
-        tuple,
-        target,
-        &mut ctx_fast,
-        &mut scratch,
-    );
     let h_soa = design.compute_tuple_soa(
         &mut tile_soa,
         enc,
@@ -79,19 +68,12 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
         planes.view(0),
         target,
         &mut ctx_soa,
-        &mut scratch_soa,
-    );
-    assert_eq!(
-        h_scalar,
-        h_fast,
-        "{kind} H diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
+        &mut scratch,
     );
     assert_eq!(
         h_scalar,
         h_soa,
-        "{kind} SoA H diverged (R={}, degree={})",
+        "{kind} H diverged (R={}, degree={})",
         enc.bits(),
         tuple.degree()
     );
@@ -102,29 +84,15 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
     );
     assert_eq!(
         ctx_scalar,
-        ctx_fast,
-        "{kind} ComputeContext diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
-    );
-    assert_eq!(
-        ctx_scalar,
         ctx_soa,
-        "{kind} SoA ComputeContext diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
-    );
-    assert_eq!(
-        tile_scalar.stats(),
-        tile_fast.stats(),
-        "{kind} TileStats diverged (R={}, degree={})",
+        "{kind} ComputeContext diverged (R={}, degree={})",
         enc.bits(),
         tuple.degree()
     );
     assert_eq!(
         tile_scalar.stats(),
         tile_soa.stats(),
-        "{kind} SoA TileStats diverged (R={}, degree={})",
+        "{kind} TileStats diverged (R={}, degree={})",
         enc.bits(),
         tuple.degree()
     );
@@ -133,7 +101,7 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random tuples, every design, R ∈ {2..32}: the fast path is
+    /// Random tuples, every design, R ∈ {2..32}: the SoA kernel is
     /// bit-identical to the scalar path in H, counters, and tile stats.
     #[test]
     fn fast_path_matches_scalar_path(
@@ -176,28 +144,19 @@ proptest! {
             let (rows, cols) = design.tile_requirements(max_degree, r, 800);
             let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
             let mut tile_scalar = SramTile::new(rows, cols);
-            let mut tile_fast = SramTile::new(rows, cols);
             let mut tile_soa = SramTile::new(rows, cols);
             let mut ctx_scalar = ComputeContext::new();
-            let mut ctx_fast = ComputeContext::new();
             let mut ctx_soa = ComputeContext::new();
             let mut scratch = ComputeScratch::new();
-            let mut scratch_soa = ComputeScratch::new();
             for (i, tuple) in tuples.iter().enumerate() {
                 let hs = design.compute_tuple(&mut tile_scalar, &enc, tuple, Spin::Up, &mut ctx_scalar);
-                let hf = design.compute_tuple_fast(
-                    &mut tile_fast, &enc, tuple, Spin::Up, &mut ctx_fast, &mut scratch,
-                );
                 let ho = design.compute_tuple_soa(
-                    &mut tile_soa, &enc, tuple, planes.view(i), Spin::Up, &mut ctx_soa, &mut scratch_soa,
+                    &mut tile_soa, &enc, tuple, planes.view(i), Spin::Up, &mut ctx_soa, &mut scratch,
                 );
-                prop_assert_eq!(hs, hf, "{} H diverged mid-stream", kind);
-                prop_assert_eq!(hs, ho, "{} SoA H diverged mid-stream", kind);
+                prop_assert_eq!(hs, ho, "{} H diverged mid-stream", kind);
             }
-            prop_assert_eq!(ctx_scalar, ctx_fast, "{} ComputeContext diverged", kind);
-            prop_assert_eq!(ctx_scalar, ctx_soa, "{} SoA ComputeContext diverged", kind);
-            prop_assert_eq!(tile_scalar.stats(), tile_fast.stats(), "{} TileStats diverged", kind);
-            prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} SoA TileStats diverged", kind);
+            prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
+            prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
         }
     }
 }
@@ -239,49 +198,51 @@ fn extreme_coefficients_agree() {
 
 #[test]
 fn spin_row_elision_is_the_only_sanctioned_divergence() {
-    // Recomputing the SAME tuple on the spin-stationary designs: the fast
-    // path skips the redundant spin-row rewrite. Everything except
+    // Recomputing the SAME tuple on the spin-stationary designs: the SoA
+    // kernel skips the redundant spin-row rewrite. Everything except
     // bits_written stays bit-identical; bits_written drops by exactly the
     // elided row width per skip — and the machine never bills layout
     // writes, so the elision is unobservable in reports.
     let enc = MixedEncoding::new(5).expect("valid resolution");
     let pairs: Vec<(u64, bool)> = (0..17).map(|k| (k * 31 + 5, k % 2 == 0)).collect();
     let tuple = build_tuple(5, &pairs, 3);
+    let planes = TuplePlanes::from_tuples([&tuple], &enc).expect("coefficients fit R bits");
     for kind in [DesignKind::N1a, DesignKind::N1b] {
         let design = stationarity(kind);
         let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
         let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_fast = SramTile::new(rows, cols);
+        let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_fast = ComputeContext::new();
+        let mut ctx_soa = ComputeContext::new();
         let mut scratch = ComputeScratch::new();
         for pass in 0..3u64 {
             let hs =
                 design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let hf = design.compute_tuple_fast(
-                &mut tile_fast,
+            let ho = design.compute_tuple_soa(
+                &mut tile_soa,
                 &enc,
                 &tuple,
+                planes.view(0),
                 Spin::Up,
-                &mut ctx_fast,
+                &mut ctx_soa,
                 &mut scratch,
             );
-            assert_eq!(hs, hf, "{kind} H diverged on pass {pass}");
+            assert_eq!(hs, ho, "{kind} H diverged on pass {pass}");
             assert_eq!(
-                ctx_scalar, ctx_fast,
+                ctx_scalar, ctx_soa,
                 "{kind} counters diverged on pass {pass}"
             );
             assert_eq!(scratch.skipped_spin_writes, pass, "{kind} skip count");
         }
         let s = tile_scalar.stats();
-        let f = tile_fast.stats();
-        assert_eq!(s.rwl_activations, f.rwl_activations);
-        assert_eq!(s.rbl_discharges, f.rbl_discharges);
-        assert_eq!(s.redundant_discharges, f.redundant_discharges);
-        assert_eq!(s.compute_accesses, f.compute_accesses);
-        assert_eq!(s.bits_read, f.bits_read);
+        let o = tile_soa.stats();
+        assert_eq!(s.rwl_activations, o.rwl_activations);
+        assert_eq!(s.rbl_discharges, o.rbl_discharges);
+        assert_eq!(s.redundant_discharges, o.redundant_discharges);
+        assert_eq!(s.compute_accesses, o.compute_accesses);
+        assert_eq!(s.bits_read, o.bits_read);
         // Two skipped rewrites of the 17-bit spin row.
-        assert_eq!(s.bits_written, f.bits_written + 2 * 17);
+        assert_eq!(s.bits_written, o.bits_written + 2 * 17);
     }
 }
 
@@ -300,55 +261,60 @@ fn spin_row_elision_is_word_granular_across_word_boundaries() {
         let design = stationarity(kind);
         let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
         let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_fast = SramTile::new(rows, cols);
+        let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_fast = ComputeContext::new();
+        let mut ctx_soa = ComputeContext::new();
         let mut scratch = ComputeScratch::new();
+        let planes = TuplePlanes::from_tuples([&tuple], &enc).expect("coefficients fit R bits");
         // Pass 0 is cold (full upload); pass 1 recomputes the identical
         // tuple, so both spin-row words are elided.
         for _ in 0..2 {
             let hs =
                 design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let hf = design.compute_tuple_fast(
-                &mut tile_fast,
+            let ho = design.compute_tuple_soa(
+                &mut tile_soa,
                 &enc,
                 &tuple,
+                planes.view(0),
                 Spin::Up,
-                &mut ctx_fast,
+                &mut ctx_soa,
                 &mut scratch,
             );
-            assert_eq!(hs, hf, "{kind} H diverged");
+            assert_eq!(hs, ho, "{kind} H diverged");
         }
         assert_eq!(
             scratch.skipped_spin_writes, 2,
             "{kind}: both words of an unchanged row must skip"
         );
         // Slot 70 lives in spin-row word 1 (bits 64..100); word 0 stays
-        // clean and must keep skipping.
+        // clean and must keep skipping. The planes are rebuilt from the
+        // flipped tuple; the scratch (and its residency tag) carries over.
         tuple.neighbor_spins[70] = tuple.neighbor_spins[70].flipped();
+        let planes = TuplePlanes::from_tuples([&tuple], &enc).expect("coefficients fit R bits");
         let hs = design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-        let hf = design.compute_tuple_fast(
-            &mut tile_fast,
+        let ho = design.compute_tuple_soa(
+            &mut tile_soa,
             &enc,
             &tuple,
+            planes.view(0),
             Spin::Up,
-            &mut ctx_fast,
+            &mut ctx_soa,
             &mut scratch,
         );
-        assert_eq!(hs, hf, "{kind} H diverged after the word-1 flip");
-        assert_eq!(ctx_scalar, ctx_fast, "{kind} counters diverged");
+        assert_eq!(hs, ho, "{kind} H diverged after the word-1 flip");
+        assert_eq!(ctx_scalar, ctx_soa, "{kind} counters diverged");
         assert_eq!(
             scratch.skipped_spin_writes, 3,
             "{kind}: the clean word 0 must still skip after a word-1 flip"
         );
         let s = tile_scalar.stats();
-        let f = tile_fast.stats();
-        assert_eq!(s.bits_read, f.bits_read, "{kind} reads diverged");
+        let o = tile_soa.stats();
+        assert_eq!(s.bits_read, o.bits_read, "{kind} reads diverged");
         // Pass 1 elided the whole 100-bit row; pass 2 elided word 0
         // (64 bits) and rewrote only the 36-bit tail word.
         assert_eq!(
             s.bits_written,
-            f.bits_written + 100 + 64,
+            o.bits_written + 100 + 64,
             "{kind}: elision must be exactly word-granular"
         );
     }
