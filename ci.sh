@@ -28,6 +28,12 @@ cargo run -q -p xtask -- analyze --json 2>/dev/null \
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# Release is the build that benches and serve run, and it compiles out
+# the sweep's debug_assert! H == local_field check: run the kernel
+# differential suites against the optimized kernels too.
+echo "==> kernel differential suites (--release)"
+cargo test -q --release --test plane_equivalence --test golden_agreement --test fault_trajectories
+
 # The ensemble determinism contract must hold with the worker pool to
 # itself and under heavy harness contention: run the suite serially and
 # with 8 concurrent test threads.

@@ -1,12 +1,15 @@
 //! Scalar vs bit-plane kernel timing for all four stationarity designs.
 //!
-//! Four granularities, all on identical inputs through identical
+//! Five granularities, all on identical inputs through identical
 //! `SramTile`s so the comparison isolates the kernel:
 //!
 //! * **per H-compute** — a dense degree-256, R=8 tuple (the acceptance
 //!   shape for the bit-plane kernel);
 //! * **per sweep** — one full update pass over every spin of a King's
 //!   graph, tuples prebuilt so the loop measures compute, not mapping;
+//! * **per sparse sweep** — the same pass at the tuple shapes of the
+//!   paper's sparse lattices: the MD King's graph (degree 8, R=4) and
+//!   the image-segmentation Grid4 (degree 4, R=6);
 //! * **per dense sweep** — a full pass over a set of dense degree-256
 //!   tuples — the sweep-level figure the SoA arenas exist to close
 //!   (encode work hoisted out of the loop);
@@ -14,7 +17,7 @@
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
 //!   sram22-style banking removes from the critical path.
 //!
-//! The first three time the scalar golden `compute_tuple` against the
+//! The first four time the scalar golden `compute_tuple` against the
 //! machine's kernel, `compute_tuple_soa` with a reused [`ComputeScratch`]
 //! and prebuilt [`TuplePlanes`] SoA arenas. Every timed pair is asserted
 //! H-identical first (the differential proptests in
@@ -244,6 +247,19 @@ fn json_rows(rows: &[Measurement], unit: &str) -> String {
     cells.join(",\n")
 }
 
+/// The host's CPU model, for the record.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn print_table(title: &str, rows: &[Measurement]) {
     section(title);
     let mut t = Table::new(["design", "scalar ns", "plane ns", "speedup"]);
@@ -291,6 +307,38 @@ fn main() {
         ),
         &sweep,
     );
+
+    // Per sparse sweep: the tuple shapes of hostbench's lattice_sparse
+    // workload — MD's King's graph at R=4 and imgseg's Grid4 at R=6 —
+    // with couplings spanning the full R-bit range.
+    let full_range =
+        |r: u32| move |i: u32, j: u32| ((i + 3 * j) as i32 % (1 << r)) - (1 << (r - 1));
+    let sparse_graphs = [
+        ("king", 4, topology::king(lattice, lattice, full_range(4))),
+        ("grid4", 6, topology::grid4(lattice, lattice, full_range(6))),
+    ];
+    let sweep_sparse: Vec<(&str, u32, IsingGraph, Vec<Measurement>)> = sparse_graphs
+        .into_iter()
+        .map(|(name, r, graph)| {
+            let graph = graph.expect("lattice weights fit R");
+            let enc = MixedEncoding::new(r).expect("valid resolution");
+            let spins = SpinVector::random(graph.num_spins(), &mut rng);
+            let tuples = graph_tuples(&graph, &spins);
+            let rows: Vec<Measurement> = DesignKind::ALL
+                .into_iter()
+                .map(|kind| measure(kind, &enc, &tuples, sweep_iters))
+                .collect();
+            print_table(
+                &format!(
+                    "ns per sparse sweep: {lattice}x{lattice} {name} (degree {}, R={r}, {} spins)",
+                    graph.max_degree(),
+                    graph.num_spins()
+                ),
+                &rows,
+            );
+            (name, r, graph, rows)
+        })
+        .collect();
 
     // Per dense sweep: a full pass over many distinct dense tuples,
     // scalar vs the SoA tuple-plane path (operands pre-encoded once, as
@@ -356,11 +404,28 @@ fn main() {
             )
         })
         .collect();
+    let sparse_json: Vec<String> = sweep_sparse
+        .iter()
+        .map(|(name, r, graph, rows)| {
+            format!(
+                "    {{\"graph\": \"{name}\", \"degree\": {}, \"r\": {r}, \"spins\": {}, \"rows\": [\n{}\n    ]}}",
+                graph.max_degree(),
+                graph.num_spins(),
+                json_rows(rows, "ns")
+            )
+        })
+        .collect();
+    let host = format!(
+        "{{\"cpu\": \"{}\", \"threads\": {}}}",
+        host_cpu(),
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"tuples\": {dense_count}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}}\n}}\n",
+        "{{\n  \"host\": {host},\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"rows\": [\n{}\n  ]}},\n  \"sweep_sparse\": {{\"lattice\": {lattice}, \"shapes\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"tuples\": {dense_count}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
+        sparse_json.join(",\n"),
         json_rows(&sweep_dense, "ns"),
         banked_json.join(",\n"),
     );

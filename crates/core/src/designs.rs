@@ -85,6 +85,8 @@ impl ComputeContext {
 pub struct ComputeScratch {
     /// XNOR result planes: R planes of `plane_words(n)` words.
     xnor: Vec<u64>,
+    /// Sensed-ones count of each XNOR plane (R entries).
+    sensed: Vec<u64>,
     /// Packed sensed-output row for the single-access kernels (n2/n3).
     row_out: Vec<u64>,
     /// Packed spin row as last written to the paired tile's row 0.
@@ -115,6 +117,9 @@ impl ComputeScratch {
         let need = to_index(r) * words;
         if self.xnor.len() < need {
             self.xnor.resize(need, 0);
+        }
+        if self.sensed.len() < to_index(r) {
+            self.sensed.resize(to_index(r), 0);
         }
     }
 
@@ -304,58 +309,62 @@ fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
 }
 
 /// Shared phase-1 of the n1 SoA paths: upload the pre-packed spin row and
-/// drive the pre-encoded coupling planes straight out of the SoA arena,
-/// one word-parallel plane access per IC bit. The scalar n1a/n1b paths
-/// issue the same *multiset* of single-column accesses in different
-/// orders; tile counters are additive and order-independent, so one plane
-/// schedule serves both designs bit-exactly — only their queue notes
-/// differ. Returns the words per plane.
-fn n1_plane_phase1_soa(
+/// drive all R pre-encoded coupling planes straight out of the SoA arena
+/// in one tile batch. The scalar n1a/n1b paths issue the same *multiset*
+/// of single-column accesses in different orders; tile counters are
+/// additive and order-independent, so one plane schedule serves both
+/// designs bit-exactly — only their queue notes differ. Returns the
+/// stored row's popcount (its Up spins) and each plane's sensed-ones
+/// count.
+fn n1_plane_phase1_soa<'s>(
     tile: &mut SramTile,
     enc: &MixedEncoding,
     tuple: &SpinTuple,
     view: TuplePlaneView<'_>,
     ctx: &mut ComputeContext,
-    scratch: &mut ComputeScratch,
-) -> usize {
+    scratch: &'s mut ComputeScratch,
+) -> (u64, &'s [u64]) {
     let n = tuple.degree();
     let r = enc.bits();
+    let rbits = to_index(r);
     scratch.upload_spin_row_words(tile, tuple.target, n, view.spin_words);
     let words = MixedEncoding::plane_words(n);
     scratch.ensure_xnor(r, words);
-    for b in 0..to_index(r) {
-        let plane = &view.coupling_planes[b * words..(b + 1) * words];
-        let out = &mut scratch.xnor[b * words..(b + 1) * words];
-        tile.compute_xnor_plane(0, plane, 0..n, out)
-            .expect("in-bounds by layout");
-        ctx.cycles += count_u64(n);
-        ctx.rwl_bits_fetched += count_u64(n);
-        ctx.xnor_ops += count_u64(n);
-    }
-    words
+    let sensed = &mut scratch.sensed[..rbits];
+    let ups = tile
+        .compute_xnor_plane(
+            0,
+            view.coupling_planes,
+            words,
+            0..n,
+            &mut scratch.xnor[..rbits * words],
+            sensed,
+        )
+        .expect("in-bounds by layout");
+    let accesses = count_u64(n) * u64::from(r);
+    ctx.cycles += accesses;
+    ctx.rwl_bits_fetched += accesses;
+    ctx.xnor_ops += accesses;
+    (ups, sensed)
 }
 
-/// Shared finale for the n1 SoA paths: fold the whole XNOR plane set in
-/// one popcount-weighted pass. Per lane `k`, the product is
+/// Shared finale for the n1 SoA paths: decode H from the counts phase 1
+/// already took. Per lane `k`, the product is
 /// `decode(xnor lane k) + [σ_k == Down]`; summed over lanes that is
-/// `Σ_b ±2^b·popcount(plane_b)` ([`MixedEncoding::decode_plane_sum`])
-/// plus the Down-spin count (`n − popcount(spin row)`) — the same integer
-/// sum the per-lane loop computes, in O(R·words) popcounts instead of
-/// O(N·R) shift/adds. Counter totals are the per-lane ones, batched.
+/// `Σ_b ±2^b·sensed_b` ([`MixedEncoding::decode_count_sum`]) plus the
+/// Down-spin count `n − ups` — the same integer sum the per-lane loop
+/// computes, with no second pass over the planes or the spin row.
+/// Counter totals are the per-lane ones, batched.
 fn n1_finish_soa(
     enc: &MixedEncoding,
     tuple: &SpinTuple,
-    view: TuplePlaneView<'_>,
-    words: usize,
+    (ups, sensed): (u64, &[u64]),
     ctx: &mut ComputeContext,
-    scratch: &ComputeScratch,
 ) -> i64 {
-    let n = tuple.degree();
     let r = enc.bits();
-    let nn = count_u64(n);
-    let downs = nn - lanes::popcount(&view.spin_words[..words]);
-    let downs = i64::try_from(downs).expect("spin-down count bounded by degree");
-    let sum = enc.decode_plane_sum(&scratch.xnor[..to_index(r) * words], words);
+    let nn = count_u64(tuple.degree());
+    let downs = i64::try_from(nn - ups).expect("spin-down count bounded by degree");
+    let sum = enc.decode_count_sum(sensed);
     ctx.adder_bit_ops += nn * (u64::from(r) + 2);
     ctx.decisions += nn;
     -(i64::from(tuple.field) + sum + downs)
@@ -442,9 +451,9 @@ impl Stationarity for SpinStationaryBitMajor {
         if n == 0 {
             return -(i64::from(tuple.field));
         }
-        let words = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
+        let counts = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
         ctx.note_queue(count_u64(n) * (u64::from(r) + 1));
-        n1_finish_soa(enc, tuple, view, words, ctx, scratch)
+        n1_finish_soa(enc, tuple, counts, ctx)
     }
 
     fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
@@ -547,9 +556,9 @@ impl Stationarity for SpinStationaryIcMajor {
         if n == 0 {
             return -(i64::from(tuple.field));
         }
-        let words = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
+        let counts = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
         ctx.note_queue(u64::from(r) + 1);
-        n1_finish_soa(enc, tuple, view, words, ctx, scratch)
+        n1_finish_soa(enc, tuple, counts, ctx)
     }
 
     fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
@@ -820,6 +829,9 @@ impl Stationarity for MixedStationary {
         // sub-word write per neighbor. Same cells, same bits_written total
         // (groups fill contiguously from column 0).
         let rows = n.div_ceil(per_row);
+        let sigma_i = u64::from(target.bit());
+        // Shifting the R product bits to the top and back sign-extends.
+        let sign_shift = 64 - rbits;
         let mut acc = i64::from(tuple.field);
         for row in 0..rows {
             let in_row = per_row.min(n - row * per_row);
@@ -842,27 +854,28 @@ impl Stationarity for MixedStationary {
             }
             tile.write_row_words(row, &scratch.packed_row[..wwords], width)
                 .expect("tile sized by tile_requirements");
-            // Phase 1: σ_i on the RWL, the whole used width sensed, each
-            // group's product decoded by shift/add (eqn. 5 select on the
-            // word).
+            // Phase 1: σ_i on the RWL, the whole used width sensed.
             tile.compute_xnor_packed(row, target.bit(), 0..width, 0..width, &mut scratch.row_out)
                 .expect("in-bounds by layout");
+            // Branchless eqn. 5 decode per group: the equality bit
+            // eq = [σ_j == σ_i] sits above the R product bits; eq = 0
+            // selects the XOR output, i.e. the complement of the XNOR
+            // bits, and σ_j is Down exactly when eq ^ σ_i is 1.
+            let mut downs = 0u64;
+            for g in 0..in_row {
+                let word = gather_bits(&scratch.row_out, g * group, group);
+                let eq = word >> rbits;
+                let selected = word ^ eq.wrapping_sub(1);
+                acc += (selected << sign_shift).cast_signed() >> sign_shift;
+                downs += eq ^ sigma_i;
+            }
+            acc += i64::try_from(downs).expect("spin-down count bounded by degree");
+            let in_row = count_u64(in_row);
             ctx.cycles += 1;
             ctx.rwl_bits_fetched += 1;
             ctx.xnor_ops += count_u64(width);
-            for g in 0..in_row {
-                let x = gather_bits(&scratch.row_out, g * group, rbits);
-                let equal = gather_bits(&scratch.row_out, g * group + rbits, 1) == 1;
-                let sigma_j = if equal { target } else { target.flipped() };
-                let selected = if equal { x } else { !x };
-                let mut v = enc.decode_word(selected);
-                if sigma_j == Spin::Down {
-                    v += 1;
-                }
-                acc += v;
-                ctx.adder_bit_ops += u64::from(r) + 2;
-                ctx.decisions += 1;
-            }
+            ctx.adder_bit_ops += in_row * (u64::from(r) + 2);
+            ctx.decisions += in_row;
         }
         -acc
     }

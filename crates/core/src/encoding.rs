@@ -30,6 +30,7 @@
 //! multiplication, which pins the corrected form.
 
 use sachi_ising::spin::Spin;
+use sachi_mem::units::convert::to_index;
 use std::fmt;
 
 /// Error from encoding operations.
@@ -215,39 +216,34 @@ impl MixedEncoding {
         self.decode_word(word)
     }
 
-    /// Sums the decoded value of **every** lane of a bit-plane block in
-    /// one pass of word-parallel popcounts — the bulk equivalent of
-    /// calling [`MixedEncoding::decode_plane`] per lane and adding the
-    /// results. A lane's two's-complement value is
+    /// Sums the decoded value of **every** lane of a bit-plane block from
+    /// its per-plane one-counts: `counts[b]` is the number of lanes whose
+    /// bit `b` is set (one popcount per plane, as the plane XNOR kernel
+    /// returns them). A lane's two's-complement value is
     /// `Σ_{b<R-1} bit_b·2^b − bit_{R-1}·2^{R-1}`, so the sum over lanes
-    /// factors into one weighted popcount per plane: `R·w` popcounts
-    /// replace `lanes·R` bit gathers. Lanes beyond the valid data must be
-    /// zero (they then contribute exactly 0, as `decode_plane` would),
-    /// which is what [`MixedEncoding::encode_into`] and the plane XNOR
-    /// kernels guarantee.
+    /// factors into one weighted count per plane — the bulk equivalent of
+    /// calling [`MixedEncoding::decode_plane`] per lane and adding the
+    /// results, provided lanes beyond the valid data are zero (they then
+    /// contribute exactly 0, as `decode_plane` would).
     ///
     /// # Panics
     ///
-    /// Panics if `planes` holds fewer than `bits() * words_per_plane`
-    /// words.
-    pub fn decode_plane_sum(&self, planes: &[u64], words_per_plane: usize) -> i64 {
-        let w = words_per_plane;
-        let r = self.bits as usize;
-        assert!(
-            planes.len() >= r * w,
-            "plane buffer of {} words < {r} planes x {w} words",
-            planes.len()
-        );
-        let mut sum = 0i64;
-        for b in 0..r {
-            let ones = sachi_mem::lanes::popcount(&planes[b * w..(b + 1) * w]) as i64;
-            if b == r - 1 {
-                sum -= ones << b; // MSB plane carries the sign weight
-            } else {
-                sum += ones << b;
-            }
-        }
-        sum
+    /// Panics if `counts.len()` differs from the resolution, or the
+    /// weighted sum overflows `i64` (beyond `2^32` lanes).
+    pub fn decode_count_sum(&self, counts: &[u64]) -> i64 {
+        assert_eq!(counts.len(), to_index(self.bits), "one count per plane");
+        let weighted = |b: usize, ones: u64| {
+            let ones = i64::try_from(ones).expect("plane count fits i64");
+            ones.checked_mul(1 << b)
+                .expect("weighted plane count fits i64")
+        };
+        let (msb, low) = counts.split_last().expect("resolution >= 2");
+        let low_sum: i64 = low
+            .iter()
+            .enumerate()
+            .map(|(b, &ones)| weighted(b, ones))
+            .sum();
+        low_sum - weighted(low.len(), *msb) // MSB plane carries the sign weight
     }
 
     /// Sums [`MixedEncoding::decode_word`] over a slice of LSB-aligned
@@ -571,7 +567,7 @@ mod tests {
         }
 
         #[test]
-        fn plane_sum_matches_per_lane_decode(
+        fn count_sum_matches_per_lane_decode(
             bits in 2u32..=32,
             raw in prop::collection::vec(any::<i64>(), 0..150),
         ) {
@@ -590,7 +586,8 @@ mod tests {
             let per_lane: i64 = (0..values.len())
                 .map(|lane| enc.decode_plane(&planes, w, lane))
                 .sum();
-            prop_assert_eq!(enc.decode_plane_sum(&planes, w), per_lane);
+            let counts: Vec<u64> = planes.chunks_exact(w).map(sachi_mem::lanes::popcount).collect();
+            prop_assert_eq!(enc.decode_count_sum(&counts), per_lane);
             prop_assert_eq!(per_lane, values.iter().map(|&v| i64::from(v)).sum::<i64>());
         }
 

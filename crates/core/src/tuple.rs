@@ -273,8 +273,8 @@ struct PlaneSlot {
 /// hoists all of that out of the sweep loop:
 ///
 /// * `coupling_planes` — bit-transposed coupling planes (`r` planes of
-///   `plane_words(N)` words per tuple): the n1a/n1b drive operand,
-///   consumed plane-at-a-time by `compute_xnor_plane`.
+///   `plane_words(N)` words per tuple): the n1a/n1b drive operand, all
+///   `r` planes driven in one `compute_xnor_plane` call.
 /// * `coupling_words` — one sign-magnitude-encoded word per coupling: the
 ///   n2 row image, uploaded whole with `write_rows_from_words`.
 /// * `group_words` — `encode(J) | σ_j << r` per coupling: the n3 packed

@@ -1,9 +1,9 @@
 //! Chunked u64-lane kernels: the portable SIMD layer under the bit-plane
 //! kernels.
 //!
-//! The compute kernels in [`crate::sram`] and the bulk decode in
-//! `sachi-core` all reduce to the same two word-level primitives — XNOR a
-//! stored word against a drive word, and popcount a span of words. This
+//! The row-pulse compute kernel in [`crate::sram`] and the bulk decode in
+//! `sachi-core` reduce to two word-level primitives — XNOR a stored row
+//! against a broadcast word-line value, and popcount a span of words. This
 //! module implements both over explicit 4-lane `u64` chunks with
 //! independent accumulators, which is the stable-Rust equivalent of
 //! `std::simd`: the chunking removes the loop-carried dependence so the
@@ -36,30 +36,10 @@ pub fn popcount(words: &[u64]) -> u64 {
     total
 }
 
-/// Writes `!(stored[i] ^ drive[i])` into `out[i]` for the common span of
-/// the three slices, returning the number of words processed. The caller
-/// masks edge words itself — this kernel is the full-word inner run.
-pub fn xnor_into(stored: &[u64], drive: &[u64], out: &mut [u64]) -> usize {
-    let n = stored.len().min(drive.len()).min(out.len());
-    let mut i = 0;
-    while i + LANES <= n {
-        // Four independent XNOR streams per iteration.
-        out[i] = !(stored[i] ^ drive[i]);
-        out[i + 1] = !(stored[i + 1] ^ drive[i + 1]);
-        out[i + 2] = !(stored[i + 2] ^ drive[i + 2]);
-        out[i + 3] = !(stored[i + 3] ^ drive[i + 3]);
-        i += LANES;
-    }
-    while i < n {
-        out[i] = !(stored[i] ^ drive[i]);
-        i += 1;
-    }
-    n
-}
-
-/// Writes `!(stored[i] ^ broadcast)` into `out[i]` for the common span —
-/// the single-drive-bit variant of [`xnor_into`] used by the row-pulse
-/// kernels, where one word-line value fans out across the whole row.
+/// Writes `!(stored[i] ^ broadcast)` into `out[i]` for the common span,
+/// returning the number of words processed — the row-pulse XNOR, where
+/// one word-line value fans out across the whole row. The caller masks
+/// edge words itself; this kernel is the full-word inner run.
 pub fn xnor_broadcast_into(stored: &[u64], broadcast: u64, out: &mut [u64]) -> usize {
     let n = stored.len().min(out.len());
     let mut i = 0;
@@ -87,31 +67,11 @@ mod tests {
         assert_eq!(popcount(&[]), 0);
     }
 
-    #[test]
-    fn xnor_into_empty_spans() {
-        let mut out = [0u64; 2];
-        assert_eq!(xnor_into(&[], &[1, 2], &mut out), 0);
-        assert_eq!(out, [0, 0]);
-    }
-
     proptest! {
         #[test]
         fn popcount_matches_per_word_sum(words in prop::collection::vec(any::<u64>(), 0..40)) {
             let naive: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
             prop_assert_eq!(popcount(&words), naive);
-        }
-
-        #[test]
-        fn xnor_into_matches_per_word(
-            stored in prop::collection::vec(any::<u64>(), 0..24),
-            drive in prop::collection::vec(any::<u64>(), 0..24),
-        ) {
-            let n = stored.len().min(drive.len());
-            let mut out = vec![0u64; n];
-            prop_assert_eq!(xnor_into(&stored, &drive, &mut out), n);
-            for i in 0..n {
-                prop_assert_eq!(out[i], !(stored[i] ^ drive[i]));
-            }
         }
 
         #[test]

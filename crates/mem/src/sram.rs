@@ -593,41 +593,51 @@ impl SramTile {
         Ok(())
     }
 
-    /// Word-parallel bit-plane compute: the zero-allocation equivalent of
-    /// one [`SramTile::compute_xnor_bit`] call **per active column**, each
-    /// driving that column's RWL pair with its own input bit taken from the
-    /// row-aligned `plane` (column `c` reads bit `c % 64` of `plane[c /
-    /// 64]`) and sensing exactly that column:
+    /// Word-parallel bit-plane compute over a whole tuple: the
+    /// zero-allocation equivalent of one [`SramTile::compute_xnor_bit`]
+    /// call **per active column per plane**. Plane `b` occupies
+    /// `planes[b * words..(b + 1) * words]` row-aligned (column `c` reads
+    /// bit `c % 64` of word `c / 64`); each of its active columns drives
+    /// that column's RWL pair with its own input bit and senses exactly
+    /// that column:
     ///
     /// ```text
-    /// for col in active { compute_xnor_bit(row, plane_bit(col), active, col) }
+    /// for b in 0..sensed.len() {
+    ///     for col in active { compute_xnor_bit(row, plane_bit(b, col), active, col) }
+    /// }
     /// ```
     ///
-    /// The counter updates are closed-form rather than per-call: a scalar
+    /// The stored row is read and popcounted once for all planes. The
+    /// counter updates are closed-form rather than per-call: a scalar
     /// call whose input bit is 1 discharges every stored 1 in the active
     /// window (`P` of them) and a call whose input bit is 0 discharges the
-    /// remaining `A - P` columns, so the plane's `c1` one-bits contribute
-    /// `c1·P + (A−c1)·(A−P)` total discharges; the sensed XNOR ones
-    /// (`popcount(!(S ^ plane))` over the window) are useful and the rest
-    /// redundant; `A` compute accesses pulse `2·A` word-lines. The
-    /// resulting [`TileStats`] delta is bit-identical to the scalar loop
-    /// (pinned by proptest).
+    /// remaining `A - P` columns, so `C1` input one-bits across the planes
+    /// contribute `C1·P + (R·A − C1)·(A − P)` total discharges; the sensed
+    /// XNOR ones (`popcount(!(S ^ plane))` over the window) are useful and
+    /// the rest redundant; `R·A` compute accesses pulse `2·R·A`
+    /// word-lines. The resulting [`TileStats`] delta is bit-identical to
+    /// the scalar loop (pinned by proptest).
     ///
-    /// Outputs land row-aligned in the first `ceil(active.end / 64)` words
-    /// of `out` (zero outside `active`); words beyond that prefix are
-    /// untouched, and `plane` is read row-aligned over the same prefix.
+    /// Plane `b`'s outputs land row-aligned in the first
+    /// `ceil(active.end / 64)` words of `out[b * words..]` (zero outside
+    /// `active`; later words untouched), and `sensed[b]` receives that
+    /// plane's sensed-ones count. Returns `P`, the stored ones in the
+    /// active window.
     ///
     /// # Errors
     ///
     /// Returns [`AccessError`] if `row` is out of bounds, `active` exceeds
-    /// the row width, or `plane`/`out` are too narrow to cover `active`.
+    /// the row width, `words` is narrower than the active window, or
+    /// `planes`/`out` are too short for `sensed.len()` planes.
     pub fn compute_xnor_plane(
         &mut self,
         row: usize,
-        plane: &[u64],
+        planes: &[u64],
+        words: usize,
         active: Range<usize>,
         out: &mut [u64],
-    ) -> Result<(), AccessError> {
+        sensed: &mut [u64],
+    ) -> Result<u64, AccessError> {
         if active.end > self.cols {
             return Err(AccessError::new(format!(
                 "active range end {} > {} cols",
@@ -635,68 +645,44 @@ impl SramTile {
             )));
         }
         let span_words = active.end.div_ceil(64);
-        if plane.len() < span_words || out.len() < span_words {
+        let need = sensed.len() * words;
+        if words < span_words || planes.len() < need || out.len() < need {
             return Err(AccessError::new(format!(
-                "plane/out of {}/{} words < {span_words} words of active window",
-                plane.len(),
-                out.len()
+                "planes/out of {}/{} words < {} planes x {words} words covering {span_words}",
+                planes.len(),
+                out.len(),
+                sensed.len()
             )));
         }
         self.check(row, 0)?;
-        let accesses = count_u64(active.len());
+        let base = row * self.words_per_row;
+        let stored_row = &self.bits[base..base + span_words];
+        sensed.fill(0);
+        let mut stored_ones = 0u64; // P: stored 1s inside the active window
+        let mut input_ones = 0u64; // C1: plane 1s inside the active window
+
+        // Word-outer, plane-inner: each stored word and its window mask
+        // are loaded once and reused by every plane.
+        for (w, &stored) in stored_row.iter().enumerate() {
+            let amask = window_mask(&active, w);
+            stored_ones += u64::from((stored & amask).count_ones());
+            let plane_outs = planes.chunks_exact(words).zip(out.chunks_exact_mut(words));
+            for ((plane, o), count) in plane_outs.zip(sensed.iter_mut()) {
+                let xnor = !(stored ^ plane[w]) & amask;
+                input_ones += u64::from((plane[w] & amask).count_ones());
+                *count += u64::from(xnor.count_ones());
+                o[w] = xnor;
+            }
+        }
+        let useful: u64 = sensed.iter().sum();
+        let a = count_u64(active.len());
+        let accesses = a * count_u64(sensed.len());
+        let discharges = input_ones * stored_ones + (accesses - input_ones) * (a - stored_ones);
         self.stats.compute_accesses += accesses;
         self.stats.rwl_activations += 2 * accesses;
-        let base = row * self.words_per_row;
-        let mut stored_ones = 0u64; // P: stored 1s inside the active window
-        let mut input_ones = 0u64; // c1: plane 1s inside the active window
-        let mut useful = 0u64;
-        // Words fully covered by the active window (active.end <= cols
-        // guarantees they also hold 64 valid bits) take the chunked-lane
-        // kernel with no masking; at most two edge words stay scalar. The
-        // chunked run computes the same words and popcounts as the masked
-        // loop with a full-word mask — only the counter association
-        // changes, and addition is associative.
-        let full0 = active.start.div_ceil(64);
-        let full1 = active.end / 64;
-        let chunked = full0 < full1;
-        if chunked {
-            let stored = &self.bits[base + full0..base + full1];
-            let drive = &plane[full0..full1];
-            lanes::xnor_into(stored, drive, &mut out[full0..full1]);
-            stored_ones += lanes::popcount(stored);
-            input_ones += lanes::popcount(drive);
-            useful += lanes::popcount(&out[full0..full1]);
-        }
-        for (w, slot) in out.iter_mut().enumerate().take(span_words) {
-            if chunked && (full0..full1).contains(&w) {
-                continue;
-            }
-            let word_start = w * 64;
-            let valid_bits = (self.cols - word_start).min(64);
-            let alo = active.start.max(word_start);
-            let ahi = active.end.min(word_start + valid_bits);
-            if alo >= ahi {
-                *slot = 0;
-                continue;
-            }
-            let span = ahi - alo;
-            let amask = if span == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << span) - 1) << (alo - word_start)
-            };
-            let stored = self.bits[base + w];
-            let xnor = !(stored ^ plane[w]) & amask;
-            stored_ones += u64::from((stored & amask).count_ones());
-            input_ones += u64::from((plane[w] & amask).count_ones());
-            useful += u64::from(xnor.count_ones());
-            *slot = xnor;
-        }
-        let discharges =
-            input_ones * stored_ones + (accesses - input_ones) * (accesses - stored_ones);
         self.stats.rbl_discharges += discharges;
         self.stats.redundant_discharges += discharges - useful;
-        Ok(())
+        Ok(stored_ones)
     }
 
     /// Batched per-row compute: row `start_row + k` (for `k < n`) is
@@ -1004,6 +990,26 @@ impl SramTile {
         let new = !self.bit_unchecked(row, col);
         self.set_bit_unchecked(row, col, new);
         Ok(new)
+    }
+}
+
+/// The bits of word `w` (columns `64·w..64·w + 64`) that lie inside
+/// `active`.
+#[inline]
+fn window_mask(active: &Range<usize>, w: usize) -> u64 {
+    let word_start = w * 64;
+    let lo = active.start.saturating_sub(word_start).min(64);
+    let hi = active.end.saturating_sub(word_start).min(64);
+    ones_below(hi) & !ones_below(lo)
+}
+
+/// The low `k` bits set (`k ≤ 64`).
+#[inline]
+fn ones_below(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << k) - 1
     }
 }
 
@@ -1342,28 +1348,110 @@ mod tests {
         assert!(batch.write_rows_from_words(1, 0, 9, &words).is_err());
     }
 
+    /// Runs `compute_xnor_plane` over `r` planes of `words` words against
+    /// the per-column `compute_xnor_bit` loop it replaces, on twin
+    /// single-row tiles holding `stored`. Asserts identical output bits
+    /// (zero outside the window, words past it untouched) and
+    /// `TileStats`, that each sensed count is its output plane's
+    /// popcount, and that the returned `P` is the stored ones in the
+    /// window.
+    pub(super) fn check_plane_against_scalar(
+        stored: &[bool],
+        planes: &[u64],
+        words: usize,
+        r: usize,
+        active: Range<usize>,
+    ) {
+        const UNTOUCHED: u64 = 0xA5A5_A5A5_A5A5_A5A5;
+        let mut fast = SramTile::new(1, stored.len());
+        let mut slow = SramTile::new(1, stored.len());
+        fast.write_row(0, stored).unwrap();
+        slow.write_row(0, stored).unwrap();
+        let mut out = vec![UNTOUCHED; r * words];
+        let mut sensed = vec![u64::MAX; r];
+        let p = fast
+            .compute_xnor_plane(0, planes, words, active.clone(), &mut out, &mut sensed)
+            .unwrap();
+        let span_words = active.end.div_ceil(64);
+        let mut want = vec![UNTOUCHED; r * words];
+        for b in 0..r {
+            want[b * words..b * words + span_words].fill(0);
+            for col in active.clone() {
+                let bit = (planes[b * words + col / 64] >> (col % 64)) & 1 == 1;
+                if slow.compute_xnor_bit(0, bit, active.clone(), col).unwrap() {
+                    want[b * words + col / 64] |= 1u64 << (col % 64);
+                }
+            }
+        }
+        assert_eq!(out, want, "outputs (R={r}, window {active:?})");
+        assert_eq!(
+            fast.stats(),
+            slow.stats(),
+            "stats (R={r}, window {active:?})"
+        );
+        for (b, &count) in sensed.iter().enumerate() {
+            let plane = &out[b * words..b * words + span_words];
+            assert_eq!(count, lanes::popcount(plane), "plane {b} count");
+        }
+        let ones = stored[active.clone()].iter().filter(|&&s| s).count();
+        assert_eq!(p, count_u64(ones), "stored ones in {active:?}");
+    }
+
     #[test]
     fn plane_compute_matches_scalar_bit_loop() {
-        let mut fast = tile_with_pattern();
-        let mut slow = tile_with_pattern();
-        let plane = [0b101101u64];
-        let mut out = [0u64; 1];
-        fast.compute_xnor_plane(0, &plane, 0..6, &mut out).unwrap();
-        for col in 0..6 {
-            let got = slow
-                .compute_xnor_bit(0, (plane[0] >> col) & 1 == 1, 0..6, col)
-                .unwrap();
-            assert_eq!((out[0] >> col) & 1 == 1, got, "col {col}");
+        // Rows and windows on both sides of every word boundary, at
+        // every resolution the encodings use.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for n in [1usize, 6, 63, 64, 65, 127, 128, 129, 200] {
+            let stored: Vec<bool> = (0..n).map(|c| (c * 7 + n) % 3 != 0).collect();
+            let words = n.div_ceil(64);
+            for r in 1..=32 {
+                let planes: Vec<u64> = (0..r * words)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    })
+                    .collect();
+                for active in [0..n, n / 3..n, 0..n / 2 + 1, n / 2..n / 2] {
+                    check_plane_against_scalar(&stored, &planes, words, r, active);
+                }
+            }
         }
-        assert_eq!(fast.stats(), slow.stats());
+        let mut t = tile_with_pattern();
+        let planes = [0b101101u64, 0b010011];
+        let mut out = [0u64; 2];
+        let mut sensed = [0u64; 2];
         // Empty active window: no accesses, no counters, zeroed output.
-        let before = *fast.stats();
-        fast.compute_xnor_plane(0, &plane, 3..3, &mut out).unwrap();
-        assert_eq!(*fast.stats(), before);
-        assert_eq!(out[0], 0);
-        assert!(fast.compute_xnor_plane(0, &plane, 0..9, &mut out).is_err());
-        assert!(fast.compute_xnor_plane(9, &plane, 0..6, &mut out).is_err());
-        assert!(fast.compute_xnor_plane(0, &[], 0..6, &mut out).is_err());
+        let before = *t.stats();
+        assert_eq!(
+            t.compute_xnor_plane(0, &planes, 1, 3..3, &mut out, &mut sensed),
+            Ok(0)
+        );
+        assert_eq!(*t.stats(), before);
+        assert_eq!((out, sensed), ([0, 0], [0, 0]));
+        // Window past the row, row past the tile.
+        assert!(t
+            .compute_xnor_plane(0, &planes, 1, 0..9, &mut out, &mut sensed)
+            .is_err());
+        assert!(t
+            .compute_xnor_plane(9, &planes, 1, 0..6, &mut out, &mut sensed)
+            .is_err());
+        // Planes or outputs too short for the plane count.
+        assert!(t
+            .compute_xnor_plane(0, &planes[..1], 1, 0..6, &mut out, &mut sensed)
+            .is_err());
+        assert!(t
+            .compute_xnor_plane(0, &planes, 1, 0..6, &mut out[..1], &mut sensed)
+            .is_err());
+        // A plane stride narrower than the window.
+        let mut wide = SramTile::new(1, 70);
+        let mut out3 = [0u64; 3];
+        assert!(wide
+            .compute_xnor_plane(0, &[0; 3], 1, 0..70, &mut out3, &mut sensed[..1])
+            .is_err());
+        assert_eq!(*wide.stats(), TileStats::default());
     }
 
     #[test]
@@ -1564,34 +1652,29 @@ mod proptests {
 
         /// `compute_xnor_plane` is bit-identical — packed outputs and
         /// `TileStats` deltas — to the per-column `compute_xnor_bit` loop
-        /// it replaces (the closed-form counter contract of the bit-plane
+        /// it replaces, for R ∈ 1..=32 planes and windows crossing word
+        /// boundaries (the closed-form counter contract of the bit-plane
         /// kernels).
         #[test]
         fn plane_kernel_matches_scalar_bit_loop(
-            stored in prop::collection::vec(any::<bool>(), 1..150),
-            plane in prop::collection::vec(any::<u64>(), 3..4),
-            a_start in 0usize..150,
-            a_len in 0usize..150,
+            stored in prop::collection::vec(any::<bool>(), 1..200),
+            r in 1usize..=32,
+            extra_words in 0usize..2,
+            pool in prop::collection::vec(any::<u64>(), 192..193),
+            a_start in 0usize..200,
+            a_len in 0usize..200,
         ) {
             let cols = stored.len();
-            let mut fast = SramTile::new(1, cols);
-            let mut slow = SramTile::new(1, cols);
-            fast.write_row(0, &stored).unwrap();
-            slow.write_row(0, &stored).unwrap();
+            let words = cols.div_ceil(64) + extra_words;
             let a_start = a_start.min(cols);
             let a_end = (a_start + a_len).min(cols);
-            let mut out = [0u64; 3];
-            fast.compute_xnor_plane(0, &plane, a_start..a_end, &mut out).unwrap();
-            for col in a_start..a_end {
-                let bit = (plane[col / 64] >> (col % 64)) & 1 == 1;
-                let want = slow.compute_xnor_bit(0, bit, a_start..a_end, col).unwrap();
-                prop_assert_eq!((out[col / 64] >> (col % 64)) & 1 == 1, want);
-            }
-            prop_assert_eq!(fast.stats(), slow.stats());
-            // Output bits outside the active window are zero.
-            for col in (0..a_start).chain(a_end..cols.div_ceil(64) * 64) {
-                prop_assert_eq!((out[col / 64] >> (col % 64)) & 1, 0);
-            }
+            super::tests::check_plane_against_scalar(
+                &stored,
+                &pool[..r * words],
+                words,
+                r,
+                a_start..a_end,
+            );
         }
 
         /// `compute_xnor_packed` matches `compute_xnor_windowed` bit for

@@ -48,12 +48,21 @@ fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> SpinTuple {
     }
 }
 
+/// Physical row width the differential tests size tiles for.
+const ROW_BITS: usize = 800;
+
 /// Runs both paths (scalar golden, SoA kernel) on freshly-sized twin
-/// tiles and asserts bit-exact equality of (H, `ComputeContext`,
-/// `TileStats`).
-fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, target: Spin) {
+/// tiles with `row_bits`-column rows and asserts bit-exact equality of
+/// (H, `ComputeContext`, `TileStats`).
+fn assert_paths_agree(
+    kind: DesignKind,
+    enc: &MixedEncoding,
+    tuple: &SpinTuple,
+    target: Spin,
+    row_bits: usize,
+) {
     let design = stationarity(kind);
-    let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
+    let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), row_bits);
     let mut tile_scalar = SramTile::new(rows, cols);
     let mut tile_soa = SramTile::new(rows, cols);
     let mut ctx_scalar = ComputeContext::new();
@@ -103,18 +112,22 @@ proptest! {
 
     /// Random tuples, every design, R ∈ {2..32}: the SoA kernel is
     /// bit-identical to the scalar path in H, counters, and tile stats.
+    /// Degrees up to 160 reach multi-word n1 spin rows and n2 drives
+    /// longer than one word; rows down to 64 bits reach multi-row n3
+    /// tuples at small R.
     #[test]
-    fn fast_path_matches_scalar_path(
+    fn soa_kernel_matches_scalar_path(
         r in 2u32..=32,
-        pairs in prop::collection::vec((any::<u64>(), any::<bool>()), 0..48),
+        pairs in prop::collection::vec((any::<u64>(), any::<bool>()), 0..160),
         target_up in any::<bool>(),
         field_raw in any::<u64>(),
+        row_bits in 64usize..=ROW_BITS,
     ) {
         let enc = MixedEncoding::new(r).expect("2 <= R <= 32 is valid");
         let tuple = build_tuple(r, &pairs, field_raw);
         let target = if target_up { Spin::Up } else { Spin::Down };
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, &tuple, target);
+            assert_paths_agree(kind, &enc, &tuple, target, row_bits);
         }
     }
 
@@ -141,7 +154,7 @@ proptest! {
                 })
                 .collect();
             let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
-            let (rows, cols) = design.tile_requirements(max_degree, r, 800);
+            let (rows, cols) = design.tile_requirements(max_degree, r, ROW_BITS);
             let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
             let mut tile_scalar = SramTile::new(rows, cols);
             let mut tile_soa = SramTile::new(rows, cols);
@@ -171,7 +184,7 @@ fn empty_and_degree_one_tuples_agree_at_every_resolution() {
         for kind in DesignKind::ALL {
             for tuple in [&empty, &single_pos, &single_neg] {
                 for target in [Spin::Up, Spin::Down] {
-                    assert_paths_agree(kind, &enc, tuple, target);
+                    assert_paths_agree(kind, &enc, tuple, target, ROW_BITS);
                 }
             }
         }
@@ -191,7 +204,7 @@ fn extreme_coefficients_agree() {
             .collect();
         let tuple = build_tuple(r, &pairs, span - 1);
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, &tuple, Spin::Down);
+            assert_paths_agree(kind, &enc, &tuple, Spin::Down, ROW_BITS);
         }
     }
 }
@@ -209,7 +222,7 @@ fn spin_row_elision_is_the_only_sanctioned_divergence() {
     let planes = TuplePlanes::from_tuples([&tuple], &enc).expect("coefficients fit R bits");
     for kind in [DesignKind::N1a, DesignKind::N1b] {
         let design = stationarity(kind);
-        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
+        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), ROW_BITS);
         let mut tile_scalar = SramTile::new(rows, cols);
         let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
@@ -259,7 +272,7 @@ fn spin_row_elision_is_word_granular_across_word_boundaries() {
     let mut tuple = build_tuple(4, &pairs, 3);
     for kind in [DesignKind::N1a, DesignKind::N1b] {
         let design = stationarity(kind);
-        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
+        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), ROW_BITS);
         let mut tile_scalar = SramTile::new(rows, cols);
         let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
