@@ -136,6 +136,30 @@ if [ "$PTGOT" != "$PTREF" ]; then
 fi
 echo "serve smoke: tempered daemon result matches one-shot CLI"
 
+# And for a faulted job: the fault stream, parity retries and the
+# winning replica must agree between the daemon and the one-shot CLI.
+FJOB=(--cop md --size 24 --seed 4 --restarts 3 --step-budget 60000
+      --fault-ber 1e-3 --fault-policy retry:3)
+FREF=$("$SACHI" solve "${FJOB[@]}" | grep -E '^(result  : H =|accuracy:)')
+FGOT=$("$SACHI" submit --addr "127.0.0.1:$PORT" "${FJOB[@]}" | grep -E '^(result  : H =|accuracy:)')
+if [ "$FGOT" != "$FREF" ]; then
+  echo "serve smoke: faulted daemon result diverged from one-shot CLI" >&2
+  echo "  one-shot: $FREF" >&2
+  echo "  daemon:   $FGOT" >&2
+  exit 1
+fi
+echo "serve smoke: faulted daemon result matches one-shot CLI"
+
+# The one-shot engine itself is thread-count blind: a tempered solve's
+# whole metrics snapshot is byte-identical at 1 and 2 threads.
+PT1=$("$SACHI" solve "${PTJOB[@]}" --threads 1 --metrics json)
+PT2=$("$SACHI" solve "${PTJOB[@]}" --threads 2 --metrics json)
+if [ "$PT1" != "$PT2" ]; then
+  echo "serve smoke: tempered --metrics json differs between 1 and 2 threads" >&2
+  exit 1
+fi
+echo "serve smoke: tempered metrics snapshot is thread-count independent"
+
 set +e
 "$SACHI" submit --addr "127.0.0.1:$PORT" --raw 'this is not json' >/dev/null 2>&1
 CODE_PARSE=$?

@@ -2,8 +2,8 @@
 //! dependency; the grammar is small and fully tested).
 
 use sachi_core::config::DesignKind;
+use sachi_core::encoding::RESOLUTION_BITS;
 use sachi_core::serve::JobSpec;
-use sachi_ising::recovery::RecoveryPolicy;
 use sachi_ising::tempering::LadderKind;
 use sachi_mem::cache::CacheHierarchy;
 use sachi_workloads::spec::CopKind;
@@ -116,75 +116,49 @@ impl Default for SubmitArgs {
     }
 }
 
-/// Arguments of `solve`/`compare`.
+/// Arguments of `solve`/`compare`: the job itself, plus the host-only
+/// settings no daemon job carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveArgs {
-    /// Which COP to build (mutually exclusive with `file`).
-    pub cop: Option<CopKind>,
-    /// Problem size (spins; lattice COPs round to a near-square grid).
-    pub size: usize,
+    /// Everything the result depends on — the same spec `submit` sends.
+    /// With `file` set, its `cop` and `size` are unused.
+    pub job: JobSpec,
     /// DIMACS/Gset file to load instead of a generated COP.
     pub file: Option<String>,
     /// Treat `file` as Gset max-cut format.
     pub gset: bool,
     /// Treat `file` as DIMACS CNF (3-SAT clause-penalty encoding).
     pub cnf: bool,
-    /// Stationarity design.
-    pub design: DesignKind,
-    /// IC resolution override.
-    pub resolution: Option<u32>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Annealing restarts (ensemble replicas).
-    pub restarts: u64,
     /// Worker threads for the replica ensemble (0 = all available
     /// cores). Thread count never changes results, only wall-clock.
     pub threads: usize,
     /// Cache hierarchy preset.
     pub hierarchy: CacheHierarchy,
-    /// Transient read bit-error rate (None = perfect memory).
-    pub fault_ber: Option<f64>,
-    /// Seed of the fault stream (independent of the solve seed).
-    pub fault_seed: u64,
-    /// Recovery policy applied when parity detects a fault.
-    pub fault_policy: RecoveryPolicy,
-    /// Deterministic work-domain deadline: total spin updates across
-    /// the whole solve (divided among sweeps; see
-    /// `SolveOptions::step_budget`). Zero is rejected at parse time.
-    pub step_budget: Option<u64>,
     /// Machine-readable metrics output (replaces the human report).
     pub metrics: Option<MetricsFormat>,
     /// Record solve-phase spans and include them in the metrics output.
     pub trace_phases: bool,
-    /// Couple the restarts as parallel-tempering rungs with replica
-    /// exchange instead of independent runs.
-    pub tempering: bool,
-    /// Temperature-ladder construction used with `--tempering`.
-    pub ladder: LadderKind,
+}
+
+impl SolveArgs {
+    /// The generated COP this run builds; `None` when `--file` supplies
+    /// the graph instead.
+    pub fn cop(&self) -> Option<CopKind> {
+        self.file.is_none().then_some(self.job.cop)
+    }
 }
 
 impl Default for SolveArgs {
     fn default() -> Self {
         SolveArgs {
-            cop: Some(CopKind::MolecularDynamics),
-            size: 256,
+            job: JobSpec::default(),
             file: None,
             gset: false,
             cnf: false,
-            design: DesignKind::N3,
-            resolution: None,
-            seed: 0,
-            restarts: 1,
             threads: 0,
             hierarchy: CacheHierarchy::hpca_default(),
-            fault_ber: None,
-            fault_seed: 0,
-            fault_policy: RecoveryPolicy::default(),
-            step_budget: None,
             metrics: None,
             trace_phases: false,
-            tempering: false,
-            ladder: LadderKind::Geometric,
         }
     }
 }
@@ -303,71 +277,102 @@ fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<
         .ok_or_else(|| err(format!("{flag} needs a value")))
 }
 
+/// Parses a number-valued flag's value, naming `what` it needs on error.
+fn take_parsed<'a, T: std::str::FromStr>(
+    flag: &str,
+    what: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<T, ArgError> {
+    take_value(flag, it)?
+        .parse()
+        .map_err(|_| err(format!("{flag} needs {what}")))
+}
+
+/// `--resolution`, range-checked against the representable IC widths
+/// so an unsupported width is a usage error, never a machine panic.
+fn take_resolution<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<u32, ArgError> {
+    let what = format!("an integer in {RESOLUTION_BITS:?}");
+    let r = take_parsed(flag, &what, it)?;
+    if !RESOLUTION_BITS.contains(&r) {
+        return Err(err(format!("{flag} needs {what}")));
+    }
+    Ok(r)
+}
+
+/// Parses one job flag — a [`JobSpec`] field, shared by `solve`,
+/// `compare` and `submit` — into `spec`. Returns `Ok(false)` when
+/// `flag` is not a job flag.
+fn parse_job_flag<'a>(
+    spec: &mut JobSpec,
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--cop" => spec.cop = parse_cop(take_value(flag, it)?)?,
+        "--size" => spec.size = take_parsed(flag, "an integer", it)?,
+        "--seed" => spec.seed = take_parsed(flag, "an integer", it)?,
+        "--design" => spec.design = parse_design(take_value(flag, it)?)?,
+        "--restarts" => spec.restarts = take_parsed(flag, "an integer", it)?,
+        "--resolution" => spec.resolution = Some(take_resolution(flag, it)?),
+        "--step-budget" => spec.step_budget = Some(take_parsed(flag, "an integer", it)?),
+        "--fault-ber" => {
+            let ber: f64 = take_parsed(flag, "a number in [0, 1]", it)?;
+            if !(0.0..=1.0).contains(&ber) {
+                return Err(err("--fault-ber needs a number in [0, 1]"));
+            }
+            spec.fault_ber = Some(ber);
+        }
+        "--fault-seed" => spec.fault_seed = take_parsed(flag, "an integer", it)?,
+        "--fault-policy" => {
+            spec.fault_policy = take_value(flag, it)?
+                .parse()
+                .map_err(|e: String| err(format!("--fault-policy: {e}")))?
+        }
+        "--tempering" => spec.tempering = true,
+        "--ladder" => {
+            spec.ladder = take_value(flag, it)?
+                .parse()
+                .map_err(|e: String| err(format!("--ladder: {e}")))?
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The cross-flag job rules, checked once all flags are read. Zero
+/// sizes are left to [`JobSpec::validate`] (a typed code-2 refusal on
+/// the CLI and on the wire alike).
+fn check_job_flags(spec: &JobSpec) -> Result<(), ArgError> {
+    if spec.restarts == 0 {
+        return Err(err("--restarts must be at least 1"));
+    }
+    if spec.step_budget == Some(0) {
+        return Err(err(
+            "--step-budget 0 would run zero sweeps; omit the flag for unbounded",
+        ));
+    }
+    if !spec.tempering && spec.ladder != LadderKind::Geometric {
+        return Err(err("--ladder needs --tempering"));
+    }
+    Ok(())
+}
+
 fn parse_solve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SolveArgs, ArgError> {
     let mut args = SolveArgs::default();
     while let Some(flag) = it.next() {
         match flag {
-            "--cop" => {
-                if args.file.is_some() {
-                    return Err(err("--cop and --file are mutually exclusive"));
-                }
-                args.cop = Some(parse_cop(take_value(flag, &mut it)?)?);
+            "--cop" if args.file.is_some() => {
+                return Err(err("--cop and --file are mutually exclusive"))
             }
-            "--size" => {
-                args.size = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--size needs an integer"))?
-            }
-            "--file" => {
-                args.file = Some(take_value(flag, &mut it)?.to_string());
-                // The generated-COP default gives way to the file.
-                args.cop = None;
-            }
+            // The generated-COP default gives way to the file.
+            "--file" => args.file = Some(take_value(flag, &mut it)?.to_string()),
             "--gset" => args.gset = true,
             "--cnf" => args.cnf = true,
-            "--design" => args.design = parse_design(take_value(flag, &mut it)?)?,
-            "--resolution" => {
-                args.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                )
-            }
-            "--seed" => {
-                args.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--seed needs an integer"))?
-            }
-            "--restarts" => {
-                args.restarts = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--restarts needs an integer"))?
-            }
-            "--threads" => {
-                args.threads = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--threads needs an integer (0 = all cores)"))?
-            }
+            "--threads" => args.threads = take_parsed(flag, "an integer (0 = all cores)", &mut it)?,
             "--hierarchy" => args.hierarchy = parse_hierarchy(take_value(flag, &mut it)?)?,
-            "--fault-ber" => {
-                let ber: f64 = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-ber needs a number in [0, 1]"))?;
-                if !(0.0..=1.0).contains(&ber) {
-                    return Err(err("--fault-ber needs a number in [0, 1]"));
-                }
-                args.fault_ber = Some(ber);
-            }
-            "--fault-seed" => {
-                args.fault_seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-seed needs an integer"))?
-            }
-            "--fault-policy" => {
-                args.fault_policy = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--fault-policy: {e}")))?
-            }
             "--metrics" => {
                 args.metrics = Some(match take_value(flag, &mut it)? {
                     "json" => MetricsFormat::Json,
@@ -377,37 +382,15 @@ fn parse_solve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SolveAr
                     }
                 })
             }
-            "--step-budget" => {
-                args.step_budget = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--step-budget needs an integer"))?,
-                )
-            }
             "--trace-phases" => args.trace_phases = true,
-            "--tempering" => args.tempering = true,
-            "--ladder" => {
-                args.ladder = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--ladder: {e}")))?
+            other => {
+                if !parse_job_flag(&mut args.job, other, &mut it)? {
+                    return Err(err(format!("unknown flag '{other}' for solve/compare")));
+                }
             }
-            other => return Err(err(format!("unknown flag '{other}' for solve/compare"))),
         }
     }
-    if args.restarts == 0 {
-        return Err(err("--restarts must be at least 1"));
-    }
-    if args.step_budget == Some(0) {
-        return Err(err(
-            "--step-budget 0 would run zero sweeps; omit the flag for unbounded",
-        ));
-    }
-    if args.cop.is_none() && args.file.is_none() {
-        return Err(err("need --cop or --file"));
-    }
-    if !args.tempering && args.ladder != LadderKind::Geometric {
-        return Err(err("--ladder needs --tempering"));
-    }
+    check_job_flags(&args.job)?;
     if args.gset && args.cnf {
         return Err(err("--gset and --cnf are mutually exclusive"));
     }
@@ -430,13 +413,7 @@ fn parse_estimate_args<'a>(
                     .map_err(|_| err("--spins needs an integer"))?
             }
             "--design" => args.design = parse_design(take_value(flag, &mut it)?)?,
-            "--resolution" => {
-                args.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                )
-            }
+            "--resolution" => args.resolution = Some(take_resolution(flag, &mut it)?),
             "--iterations" => {
                 args.iterations = take_value(flag, &mut it)?
                     .parse()
@@ -518,79 +495,12 @@ fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<Submit
                 set_op(&mut op_flag, flag)?;
                 args.op = SubmitOp::Raw(take_value(flag, &mut it)?.to_string());
             }
-            "--cop" => {
-                job_flag = Some(flag);
-                spec.cop = parse_cop(take_value(flag, &mut it)?)?;
+            other => {
+                if !parse_job_flag(&mut spec, other, &mut it)? {
+                    return Err(err(format!("unknown flag '{other}' for submit")));
+                }
+                job_flag = Some(other);
             }
-            "--size" => {
-                job_flag = Some(flag);
-                spec.size = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--size needs an integer"))?;
-            }
-            "--seed" => {
-                job_flag = Some(flag);
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--seed needs an integer"))?;
-            }
-            "--design" => {
-                job_flag = Some(flag);
-                spec.design = parse_design(take_value(flag, &mut it)?)?;
-            }
-            "--restarts" => {
-                job_flag = Some(flag);
-                spec.restarts = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--restarts needs an integer"))?;
-            }
-            "--resolution" => {
-                job_flag = Some(flag);
-                spec.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                );
-            }
-            "--step-budget" => {
-                job_flag = Some(flag);
-                spec.step_budget = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--step-budget needs an integer"))?,
-                );
-            }
-            "--fault-ber" => {
-                job_flag = Some(flag);
-                spec.fault_ber = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--fault-ber needs a number in [0, 1]"))?,
-                );
-            }
-            "--fault-seed" => {
-                job_flag = Some(flag);
-                spec.fault_seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-seed needs an integer"))?;
-            }
-            "--fault-policy" => {
-                job_flag = Some(flag);
-                spec.fault_policy = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--fault-policy: {e}")))?;
-            }
-            "--tempering" => {
-                job_flag = Some(flag);
-                spec.tempering = true;
-            }
-            "--ladder" => {
-                job_flag = Some(flag);
-                spec.ladder = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--ladder: {e}")))?;
-            }
-            other => return Err(err(format!("unknown flag '{other}' for submit"))),
         }
     }
     match (op_flag, job_flag) {
@@ -611,21 +521,9 @@ fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<Submit
         }
         (Some(_), None) => Ok(args), // --raw already stored its payload
         (None, _) => {
-            // Job validation is deliberately deferred to the daemon
-            // (same admission path as every other client), but the
-            // local zero checks mirror `solve` for parity of error
-            // messages.
-            if spec.restarts == 0 {
-                return Err(err("--restarts must be at least 1"));
-            }
-            if spec.step_budget == Some(0) {
-                return Err(err(
-                    "--step-budget 0 would run zero sweeps; omit the flag for unbounded",
-                ));
-            }
-            if !spec.tempering && spec.ladder != LadderKind::Geometric {
-                return Err(err("--ladder needs --tempering"));
-            }
+            // The same job-flag rules as `solve`; the rest of the job's
+            // validation happens on the daemon's admission path.
+            check_job_flags(&spec)?;
             args.op = SubmitOp::Solve(spec);
             Ok(args)
         }
@@ -741,6 +639,7 @@ EXAMPLES:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sachi_ising::recovery::RecoveryPolicy;
 
     #[test]
     fn parses_solve_with_all_flags() {
@@ -751,12 +650,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Solve(a) => {
-                assert_eq!(a.cop, Some(CopKind::TravelingSalesman));
-                assert_eq!(a.size, 64);
-                assert_eq!(a.design, DesignKind::N2);
-                assert_eq!(a.resolution, Some(8));
-                assert_eq!(a.seed, 9);
-                assert_eq!(a.restarts, 3);
+                assert_eq!(a.cop(), Some(CopKind::TravelingSalesman));
+                assert_eq!(a.job.size, 64);
+                assert_eq!(a.job.design, DesignKind::N2);
+                assert_eq!(a.job.resolution, Some(8));
+                assert_eq!(a.job.seed, 9);
+                assert_eq!(a.job.restarts, 3);
                 assert_eq!(a.threads, 2);
                 assert_eq!(a.hierarchy, CacheHierarchy::server());
             }
@@ -784,7 +683,7 @@ mod tests {
             Command::Solve(a) => {
                 assert_eq!(a.file.as_deref(), Some("graph.txt"));
                 assert!(a.gset);
-                assert_eq!(a.cop, None);
+                assert_eq!(a.cop(), None);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -856,6 +755,52 @@ mod tests {
     }
 
     #[test]
+    fn resolution_outside_the_representable_range_is_a_usage_error() {
+        for cmd in ["solve", "compare", "submit", "estimate"] {
+            for r in ["0", "1", "33", "65"] {
+                let e = parse([cmd, "--resolution", r]).unwrap_err();
+                assert!(
+                    e.0.contains("--resolution needs an integer in 2..=32"),
+                    "{cmd} {r}: {e}"
+                );
+            }
+            assert!(parse([cmd, "--resolution", "32"]).is_ok(), "{cmd}");
+        }
+    }
+
+    #[test]
+    fn job_flags_build_the_same_spec_under_solve_and_submit() {
+        for flags in [
+            "",
+            "--cop sat --size 40 --seed 9 --restarts 8 --step-budget 60000",
+            "--cop tsp --design n2 --resolution 8 --size 64",
+            "--cop md --fault-ber 1e-3 --fault-seed 7 --fault-policy retry:3",
+            "--cop coloring --fault-ber 0.01 --fault-policy failfast",
+            "--cop sched --restarts 4 --tempering --ladder adaptive",
+            "--size 0 --seed 18446744073709551615 --design n1a --tempering",
+        ] {
+            let solve = match parse(["solve"].into_iter().chain(flags.split_whitespace())) {
+                Ok(Command::Solve(a)) => a.job,
+                other => panic!("solve {flags}: {other:?}"),
+            };
+            let submit = match parse(["submit"].into_iter().chain(flags.split_whitespace())) {
+                Ok(Command::Submit(SubmitArgs {
+                    op: SubmitOp::Solve(spec),
+                    ..
+                })) => spec,
+                other => panic!("submit {flags}: {other:?}"),
+            };
+            assert_eq!(solve, submit, "{flags}");
+        }
+        // And the shared rules refuse the same job flags on both.
+        for flags in ["--restarts 0", "--step-budget 0", "--ladder adaptive"] {
+            let solve = parse(["solve"].into_iter().chain(flags.split_whitespace()));
+            let submit = parse(["submit"].into_iter().chain(flags.split_whitespace()));
+            assert_eq!(solve.unwrap_err(), submit.unwrap_err(), "{flags}");
+        }
+    }
+
+    #[test]
     fn fault_flags_parse_and_validate() {
         let cmd = parse(
             "solve --fault-ber 1e-4 --fault-seed 42 --fault-policy retry:5".split_whitespace(),
@@ -863,10 +808,10 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Solve(a) => {
-                assert_eq!(a.fault_ber, Some(1e-4));
-                assert_eq!(a.fault_seed, 42);
+                assert_eq!(a.job.fault_ber, Some(1e-4));
+                assert_eq!(a.job.fault_seed, 42);
                 assert_eq!(
-                    a.fault_policy,
+                    a.job.fault_policy,
                     RecoveryPolicy::RefetchRetry { max_retries: 5 }
                 );
             }
@@ -874,8 +819,8 @@ mod tests {
         }
         match parse(["solve", "--fault-policy", "failfast"]).unwrap() {
             Command::Solve(a) => {
-                assert_eq!(a.fault_ber, None);
-                assert_eq!(a.fault_policy, RecoveryPolicy::FailFast);
+                assert_eq!(a.job.fault_ber, None);
+                assert_eq!(a.job.fault_policy, RecoveryPolicy::FailFast);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -928,15 +873,15 @@ mod tests {
         match parse("solve --tempering --ladder adaptive --restarts 4".split_whitespace()).unwrap()
         {
             Command::Solve(a) => {
-                assert!(a.tempering);
-                assert_eq!(a.ladder, LadderKind::Adaptive);
+                assert!(a.job.tempering);
+                assert_eq!(a.job.ladder, LadderKind::Adaptive);
             }
             other => panic!("wrong command {other:?}"),
         }
         match parse(["solve", "--tempering"]).unwrap() {
             Command::Solve(a) => {
-                assert!(a.tempering);
-                assert_eq!(a.ladder, LadderKind::Geometric);
+                assert!(a.job.tempering);
+                assert_eq!(a.job.ladder, LadderKind::Geometric);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1011,7 +956,7 @@ mod tests {
     #[test]
     fn step_budget_parses_and_rejects_zero() {
         match parse("solve --step-budget 60000".split_whitespace()).unwrap() {
-            Command::Solve(a) => assert_eq!(a.step_budget, Some(60_000)),
+            Command::Solve(a) => assert_eq!(a.job.step_budget, Some(60_000)),
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse(["solve", "--step-budget", "0"])

@@ -188,10 +188,8 @@ impl Server {
             .lock()
             .expect("metrics registry lock poisoned")
             .merge(&outcome.metrics());
-        if spec.fault_ber.is_some() {
-            if let Some(e) = outcome.fault_error(spec.fault_policy) {
-                return Err(e);
-            }
+        if let Some(e) = outcome.fault_error(spec.fault_policy) {
+            return Err(e);
         }
         Ok(protocol::ok_solve_body(&name, edges, spec, &outcome))
     }

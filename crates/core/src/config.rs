@@ -1,5 +1,6 @@
 //! SACHI machine configuration (Sec. V.1 plus the Sec. VII.2 presets).
 
+use crate::encoding::RESOLUTION_BITS;
 use sachi_ising::recovery::RecoveryPolicy;
 use sachi_mem::cache::CacheHierarchy;
 use sachi_mem::fault::FaultModel;
@@ -155,8 +156,8 @@ impl SachiConfig {
     #[must_use]
     pub fn with_resolution(mut self, bits: u32) -> Self {
         assert!(
-            (2..=32).contains(&bits),
-            "resolution must be 2..=32, got {bits}"
+            RESOLUTION_BITS.contains(&bits),
+            "resolution must be {RESOLUTION_BITS:?}, got {bits}"
         );
         self.resolution = Some(bits);
         self

@@ -32,6 +32,14 @@
 use sachi_ising::spin::Spin;
 use sachi_mem::units::convert::to_index;
 use std::fmt;
+use std::ops::RangeInclusive;
+
+/// The IC resolutions the mixed encoding represents, in bits: a sign bit
+/// plus at least one magnitude bit, up to the paper's "reconfigurable up
+/// to signed 32-bit" ICs. The one range every resolution check uses —
+/// [`MixedEncoding::new`], [`crate::config::SachiConfig::with_resolution`],
+/// job validation and the CLI's `--resolution` parse.
+pub const RESOLUTION_BITS: RangeInclusive<u32> = 2..=32;
 
 /// Error from encoding operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +105,7 @@ impl MixedEncoding {
     ///
     /// Returns [`EncodingError::UnsupportedResolution`] outside `2..=32`.
     pub fn new(bits: u32) -> Result<Self, EncodingError> {
-        if !(2..=32).contains(&bits) {
+        if !RESOLUTION_BITS.contains(&bits) {
             return Err(EncodingError::UnsupportedResolution { bits });
         }
         Ok(MixedEncoding { bits })

@@ -30,6 +30,7 @@
 //! discard them rather than report them.
 
 use crate::config::{DesignKind, FaultProfile, SachiConfig};
+use crate::encoding::RESOLUTION_BITS;
 use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
 use crate::error::{SachiError, ServerReason};
 use crate::machine::{RunReport, SachiMachine};
@@ -142,7 +143,7 @@ pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopPro
 
 /// Everything a solve depends on, as submitted over the wire. The
 /// daemon and the one-shot CLI both lower a spec through
-/// [`JobPlan::from_spec`], so equality of specs implies byte-identical
+/// [`JobPlan::from_problem`], so equality of specs implies byte-identical
 /// results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -217,9 +218,9 @@ impl JobSpec {
             ));
         }
         if let Some(r) = self.resolution {
-            if r == 0 || r > 64 {
+            if !RESOLUTION_BITS.contains(&r) {
                 return Err(SachiError::Config(format!(
-                    "resolution {r} is outside the representable 1..=64 bit range"
+                    "resolution {r} is outside the representable {RESOLUTION_BITS:?} bit range"
                 )));
             }
         }
@@ -328,45 +329,53 @@ impl std::fmt::Debug for JobPlan {
 }
 
 impl JobPlan {
-    /// Lowers a spec: validate, build the COP, check the resolution
-    /// against the graph's coefficient range, derive the initial spins
+    /// Lowers a spec over its generated COP: [`build_cop_problem`], then
+    /// [`JobPlan::from_problem`] on the paper's default machine.
+    ///
+    /// # Errors
+    ///
+    /// See [`JobPlan::from_problem`]; additionally
+    /// [`SachiError::Config`] when the COP cannot be encoded.
+    pub fn from_spec(spec: &JobSpec) -> Result<JobPlan, SachiError> {
+        let problem = build_cop_problem(spec.cop, spec.size, spec.seed)?;
+        JobPlan::from_problem(spec, problem, SachiConfig::default())
+    }
+
+    /// The one lowering from spec to plan, shared by the daemon and
+    /// `sachi solve`/`compare`: validate, check the resolution against
+    /// the graph's coefficient range, derive the initial spins
     /// (`seed ^ INIT_SEED_SALT`) and annealer seed (`seed + 1`), and
-    /// freeze the machine config. Mirrors `sachi solve` exactly.
+    /// freeze the machine config. `problem` is the already built
+    /// instance (a generated COP, or a graph loaded from a file — then
+    /// `spec.cop` and `spec.size` are unused). `base` carries the
+    /// host-only machine settings (cache hierarchy, phase tracing); the
+    /// spec's design, resolution and fault model replace its own.
     ///
     /// # Errors
     ///
     /// [`SachiError::Usage`] / [`SachiError::Config`] from
-    /// [`JobSpec::validate`], COP encoding, or a resolution that cannot
-    /// represent the graph's coefficients.
-    pub fn from_spec(spec: &JobSpec) -> Result<JobPlan, SachiError> {
+    /// [`JobSpec::validate`], or a resolution that cannot represent the
+    /// graph's coefficients.
+    pub fn from_problem(
+        spec: &JobSpec,
+        problem: CopProblem,
+        base: SachiConfig,
+    ) -> Result<JobPlan, SachiError> {
         spec.validate()?;
-        let problem = build_cop_problem(spec.cop, spec.size, spec.seed)?;
+        let mut config = SachiConfig {
+            design: spec.design,
+            resolution: None,
+            fault: None,
+            ..base
+        };
         if let Some(r) = spec.resolution {
             let required = problem.graph.bits_required();
             if r < required {
                 return Err(SachiError::Config(format!(
                     "resolution {r} cannot represent this problem's coefficients (needs \
-                     {required}-bit); drop the field or pass >= {required}"
+                     {required}-bit); omit it or pass >= {required}"
                 )));
             }
-        }
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ INIT_SEED_SALT);
-        let init = SpinVector::random(problem.graph.num_spins(), &mut rng);
-        let mut options = SolveOptions::for_graph(&problem.graph, spec.seed.wrapping_add(1))
-            .with_cancel(CancelToken::new());
-        if let Some(budget) = spec.step_budget {
-            options = options.with_step_budget(budget);
-        }
-        if spec.tempering {
-            let rungs = usize::try_from(spec.restarts).unwrap_or(usize::MAX);
-            options = options.with_tempering(TemperingOptions::for_graph(
-                spec.ladder,
-                &problem.graph,
-                rungs,
-            ));
-        }
-        let mut config = SachiConfig::new(spec.design);
-        if let Some(r) = spec.resolution {
             config = config.with_resolution(r);
         }
         if let Some(ber) = spec.fault_ber {
@@ -376,6 +385,20 @@ impl JobPlan {
         }
         let replicas = usize::try_from(spec.restarts)
             .map_err(|_| SachiError::Usage("restarts too large for this host".to_string()))?;
+        let mut rng = StdRng::seed_from_u64(spec.seed ^ INIT_SEED_SALT);
+        let init = SpinVector::random(problem.graph.num_spins(), &mut rng);
+        let mut options = SolveOptions::for_graph(&problem.graph, spec.seed.wrapping_add(1))
+            .with_cancel(CancelToken::new());
+        if let Some(budget) = spec.step_budget {
+            options = options.with_step_budget(budget);
+        }
+        if spec.tempering {
+            options = options.with_tempering(TemperingOptions::for_graph(
+                spec.ladder,
+                &problem.graph,
+                replicas,
+            ));
+        }
         Ok(JobPlan {
             spec: spec.clone(),
             name: problem.name,
@@ -401,6 +424,21 @@ impl JobPlan {
     /// The encoded graph.
     pub fn graph(&self) -> &IsingGraph {
         &self.graph
+    }
+
+    /// The initial spins every replica starts from.
+    pub fn init(&self) -> &SpinVector {
+        &self.init
+    }
+
+    /// The base solve options (replica `k` derives its seed from these).
+    pub fn options(&self) -> &SolveOptions {
+        &self.options
+    }
+
+    /// The frozen machine config every replica runs on.
+    pub fn config(&self) -> &SachiConfig {
+        &self.config
     }
 
     /// Replica-ensemble width.
@@ -432,18 +470,23 @@ impl JobPlan {
         machine.solve_detailed(&self.graph, &self.init, &options)
     }
 
-    /// Runs the whole job as one coupled tempering run (single worker
-    /// thread — the run is deterministic at any thread count, and a
-    /// pooled coupled job occupies exactly one pool worker). Pure in
-    /// the plan alone.
-    fn run_coupled(&self) -> JobOutcome {
+    /// Runs the whole job on `threads` worker threads and reduces — the
+    /// one in-process engine. Replica results land in replica-indexed
+    /// slots and reports in a [`ReplicaLedger`], so the outcome is a pure
+    /// function of the plan at any thread count. Coupled (tempering)
+    /// plans route through the exchange engine inside
+    /// [`EnsembleRunner::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`, or if a replica's machine panics.
+    pub fn run_threaded(&self, threads: usize) -> JobOutcome {
         let ledger = ReplicaLedger::new(self.replicas);
-        let best = EnsembleRunner::new(self.replicas).with_threads(1).run(
-            &self.graph,
-            &self.init,
-            &self.options,
-            |k| ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger),
-        );
+        let best = EnsembleRunner::new(self.replicas)
+            .with_threads(threads)
+            .run(&self.graph, &self.init, &self.options, |k| {
+                ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
+            });
         let report = ledger.finish();
         let accuracy = (self.accuracy)(&best.best().spins);
         JobOutcome {
@@ -453,20 +496,10 @@ impl JobPlan {
         }
     }
 
-    /// Runs every replica in-process, sequentially, and reduces — the
-    /// reference the pooled path must match byte-for-byte. Coupled
-    /// (tempering) plans route through the exchange engine; both the
-    /// solo and pooled paths call the same engine, so their equality is
-    /// by construction.
+    /// [`JobPlan::run_threaded`] on one thread — the reference the
+    /// pooled path must match byte-for-byte.
     pub fn run_solo(&self) -> JobOutcome {
-        if self.is_coupled() {
-            return self.run_coupled();
-        }
-        let mut pairs = Vec::with_capacity(self.replicas);
-        for k in 0..self.replicas {
-            pairs.push(self.run_replica(k));
-        }
-        reduce_outcome(self, pairs)
+        self.run_threaded(1)
     }
 }
 
@@ -516,11 +549,11 @@ impl JobOutcome {
         reg
     }
 
-    /// The typed fault verdict `sachi solve` exits with, when fault
-    /// injection was configured: fail-fast detection maps to
-    /// [`SachiError::FaultDetected`], a fully-degraded ensemble to
-    /// [`SachiError::FaultBudgetExhausted`]. `None` means the job
-    /// solved despite (or without) faults.
+    /// The typed fault verdict `sachi solve` exits with and the daemon
+    /// answers: fail-fast detection maps to [`SachiError::FaultDetected`],
+    /// a fully-degraded ensemble to [`SachiError::FaultBudgetExhausted`].
+    /// `None` means the job solved despite faults, or ran without any (a
+    /// fault-free ensemble never degrades, so callers need no gate).
     pub fn fault_error(&self, policy: RecoveryPolicy) -> Option<SachiError> {
         if policy == RecoveryPolicy::FailFast && self.report.degraded_replicas > 0 {
             return Some(SachiError::FaultDetected {
@@ -897,14 +930,22 @@ mod tests {
         let err = zero_budget.validate().unwrap_err();
         assert!(matches!(&err, SachiError::Usage(m) if m.contains("step_budget")));
         assert_eq!(err.exit_code(), 2);
-        let bad_resolution = JobSpec {
-            resolution: Some(0),
-            ..JobSpec::default()
-        };
-        assert!(matches!(
-            bad_resolution.validate(),
-            Err(SachiError::Config(_))
-        ));
+        for r in [0, 1, 33, 64] {
+            let bad_resolution = JobSpec {
+                resolution: Some(r),
+                ..JobSpec::default()
+            };
+            let err = bad_resolution.validate().unwrap_err();
+            assert!(matches!(err, SachiError::Config(_)), "resolution {r}");
+            assert_eq!(err.exit_code(), 2);
+        }
+        for r in [2, 32] {
+            let edge = JobSpec {
+                resolution: Some(r),
+                ..JobSpec::default()
+            };
+            assert!(edge.validate().is_ok(), "resolution {r}");
+        }
         let bad_ber = JobSpec {
             fault_ber: Some(1.5),
             ..JobSpec::default()
@@ -967,6 +1008,16 @@ mod tests {
         };
         let err = JobPlan::from_spec(&spec).unwrap_err();
         assert!(matches!(&err, SachiError::Config(m) if m.contains("resolution")));
+        // Wide enough for any coefficient, but past the mixed encoding's
+        // signed 32-bit ceiling: a typed code-2 refusal, not a panic in
+        // `SachiConfig::with_resolution`.
+        let spec = JobSpec {
+            resolution: Some(40),
+            ..spec
+        };
+        let err = JobPlan::from_spec(&spec).unwrap_err();
+        assert!(matches!(&err, SachiError::Config(m) if m.contains("2..=32")));
+        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]
@@ -1148,6 +1199,17 @@ mod tests {
             .run_solo();
         assert!(outcome.fault_error(RecoveryPolicy::default()).is_none());
         assert!(outcome.fault_error(RecoveryPolicy::FailFast).is_none());
+        // A faulted fail-fast job aborts on its first parity detection.
+        let spec = JobSpec {
+            fault_ber: Some(1e-2),
+            fault_policy: RecoveryPolicy::FailFast,
+            ..small_spec(CopKind::MolecularDynamics, 2)
+        };
+        let outcome = JobPlan::from_spec(&spec).unwrap().run_solo();
+        assert!(outcome.report.faults_detected > 0);
+        let err = outcome.fault_error(spec.fault_policy).unwrap();
+        assert!(matches!(err, SachiError::FaultDetected { detected } if detected > 0));
+        assert_eq!(err.exit_code(), 4);
     }
 
     #[test]

@@ -239,6 +239,75 @@ proptest! {
     }
 }
 
+/// Asserts two outcomes of one plan are the same bytes: verdict, folded
+/// cycles, accuracy bits and the full exported metrics registry.
+fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
+    assert_eq!(got.best, want.best, "{what}");
+    assert_eq!(
+        got.report.serial_cycles, want.report.serial_cycles,
+        "{what}"
+    );
+    assert_eq!(
+        got.report.max_replica_cycles, want.report.max_replica_cycles,
+        "{what}"
+    );
+    assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits(), "{what}");
+    assert_eq!(got.metrics(), want.metrics(), "{what}");
+}
+
+/// The one job engine: `JobPlan::run_threaded` at any thread count, the
+/// `run_solo` reference and the pooled job are the same function of the
+/// spec — for plain, tempered and faulted jobs alike. `sachi solve` runs
+/// `run_threaded`, the daemon the pool, so this pins CLI/daemon
+/// identity in-process.
+#[test]
+fn threaded_solo_and_pooled_runs_agree() {
+    let base = JobSpec {
+        cop: CopKind::SatThree,
+        size: 12,
+        seed: 41,
+        restarts: 3,
+        step_budget: Some(20_000),
+        ..JobSpec::default()
+    };
+    let specs = [
+        base.clone(),
+        JobSpec {
+            tempering: true,
+            ladder: LadderKind::Adaptive,
+            ..base.clone()
+        },
+        JobSpec {
+            cop: CopKind::MolecularDynamics,
+            fault_ber: Some(1e-3),
+            fault_seed: 5,
+            fault_policy: RecoveryPolicy::RefetchRetry { max_retries: 3 },
+            ..base.clone()
+        },
+        JobSpec {
+            cop: CopKind::MolecularDynamics,
+            fault_ber: Some(1e-2),
+            fault_policy: RecoveryPolicy::FailFast,
+            ..base
+        },
+    ];
+    for spec in &specs {
+        let plan = JobPlan::from_spec(spec).expect("valid spec");
+        let solo = plan.run_solo();
+        for threads in 1..=5 {
+            let what = format!("{spec:?} at {threads} threads");
+            assert_same_outcome(&plan.run_threaded(threads), &solo, &what);
+            let pool = SolverPool::with_workers(threads);
+            let pooled = pool
+                .submit(JobPlan::from_spec(spec).expect("valid spec"))
+                .wait()
+                .expect("pooled job completes");
+            pool.join();
+            assert_same_outcome(&pooled, &solo, &format!("pooled {what}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
