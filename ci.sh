@@ -29,10 +29,14 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 # Release is the build that benches and serve run, and it compiles out
-# the sweep's debug_assert! H == local_field check: run the kernel
-# differential suites against the optimized kernels too.
+# the sweep's debug_assert! H == local_field check: run the kernel and
+# protocol differential suites against the optimized build too
+# (property_machines proptests every design, the resident machine and,
+# on the graph families inside its envelope, BRIM against the golden
+# model).
 echo "==> kernel differential suites (--release)"
-cargo test -q --release --test plane_equivalence --test golden_agreement --test fault_trajectories
+cargo test -q --release --test plane_equivalence --test golden_agreement --test fault_trajectories \
+  --test property_machines
 
 # The ensemble determinism contract must hold with the worker pool to
 # itself and under heavy harness contention: run the suite serially and

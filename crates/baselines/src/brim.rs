@@ -24,10 +24,9 @@
 //! this workspace, so its H trajectory matches the golden model; only the
 //! cycle/energy accounting differs.
 
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, local_field};
-use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::local_field;
+use sachi_ising::solver::{IterativeSolver, SolveOptions, SolveResult, SweepLoop};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -229,18 +228,12 @@ impl BrimMachine {
         options: &SolveOptions,
     ) -> Result<(SolveResult, BrimReport), BrimError> {
         self.check_limits(graph)?;
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
+        let mut sweep = SweepLoop::new(graph, initial, options);
         let tech = &self.config.tech;
         let r = BRIM_MAX_RESOLUTION as u64;
         let n = graph.num_spins();
         let max_degree = graph.max_degree() as u64;
 
-        let mut spins = initial.clone();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut ledger = EnergyLedger::new();
 
         // IC programming: every resistance is written once from DRAM
@@ -259,16 +252,9 @@ impl BrimMachine {
         let logic_mw = self.config.bank_logic_mw * self.config.dac_banks as f64;
 
         let mut ic_bits_fetched = 0u64;
-        let mut sweeps = 0u64;
-        let mut total_flips = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
-
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            let mut flips_this_sweep = 0u64;
+        while sweep.begin_sweep() {
             for i in 0..n {
-                let h_sigma = local_field(graph, &spins, i);
+                let h_sigma = local_field(graph, sweep.spins(), i);
                 // Reuse = 1: every IC is re-fetched from memory and
                 // DAC-converted for this single compute.
                 let fetched = graph.degree(i) as u64 * r;
@@ -277,12 +263,7 @@ impl BrimMachine {
                     EnergyComponent::DataMovement,
                     tech.movement_energy_per_bit() * fetched,
                 );
-                let current = spins.get(i);
-                let new = decide_update(current, h_sigma, &mut annealer);
-                if new != current {
-                    spins.set(i, new);
-                    flips_this_sweep += 1;
-                }
+                sweep.update(i, h_sigma);
             }
             // Power-derived per-sweep energy: oscillator + DAC + logic run
             // for the sweep duration. mW x ns = pJ.
@@ -303,40 +284,18 @@ impl BrimMachine {
                 tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(cycles_per_sweep);
-
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
+            sweep.end_sweep(graph);
         }
 
         let report = BrimReport {
-            sweeps,
+            sweeps: sweep.sweeps(),
             total_cycles,
             wall_time: total_cycles.to_time(tech.cycle_time),
             energy: ledger,
             reuse: 1.0,
             ic_bits_fetched,
         };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
-        };
-        Ok((result, report))
+        Ok((sweep.finish(graph, false), report))
     }
 }
 

@@ -18,10 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, local_field, update_rule};
-use sachi_ising::solver::{SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::{local_field, update_rule};
+use sachi_ising::solver::{SolveOptions, SolveResult, SweepLoop};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -161,7 +160,9 @@ impl CmosAnnealer {
     /// cell sees the pre-phase state of its own group (they are never
     /// adjacent, so this equals the sequential result *within* the
     /// group), but groups see each other's latest values only between
-    /// phases.
+    /// phases. It still drives the shared [`SweepLoop`] for the sweep
+    /// cap, cancellation, trace, cooling and convergence; only the
+    /// per-cell decision is its own.
     ///
     /// # Errors
     ///
@@ -177,14 +178,8 @@ impl CmosAnnealer {
         options: &SolveOptions,
     ) -> Result<(SolveResult, CmosAnnealerReport), CmosAnnealerError> {
         self.check_limits(graph)?;
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
+        let mut sweep = SweepLoop::new(graph, initial, options);
         let n = graph.num_spins();
-        let mut spins = initial.clone();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut rng = StdRng::seed_from_u64(options.seed ^ 0xc3_05);
         let mut ledger = EnergyLedger::new();
 
@@ -200,25 +195,19 @@ impl CmosAnnealer {
             self.tech.sram_write_energy_per_bit() * payload_bits,
         );
 
-        let mut sweeps = 0u64;
-        let mut total_flips = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            let mut flips_this_sweep = 0u64;
+        while sweep.begin_sweep() {
             for group in 0..4usize {
                 // All cells of one group update in parallel from the
                 // current state (no intra-group adjacency).
                 let mut updates = Vec::new();
                 for i in (0..n).filter(|&i| self.group_of(i) == group) {
-                    let h = local_field(graph, &spins, i);
-                    let current = spins.get(i);
+                    let h = local_field(graph, sweep.spins(), i);
+                    let current = sweep.spins().get(i);
                     let mut new = update_rule(h, current);
                     // Hitachi-style annealing: random bit injection with
                     // probability tied to the shared schedule temperature.
                     if new == current {
-                        let p = annealer.acceptance_probability(2 * h.abs().max(1));
+                        let p = sweep.annealer().acceptance_probability(2 * h.abs().max(1));
                         if p > 0.0 && rng.gen::<f64>() < p {
                             new = current.flipped();
                         }
@@ -228,8 +217,7 @@ impl CmosAnnealer {
                     }
                 }
                 for &(i, new) in &updates {
-                    spins.set(i, new);
-                    flips_this_sweep += 1;
+                    sweep.flip(i, new);
                     // Local update write.
                     ledger.record(
                         EnergyComponent::SramWrite,
@@ -253,38 +241,17 @@ impl CmosAnnealer {
                 self.tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(self.cycles_per_sweep());
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
+            sweep.end_sweep(graph);
         }
 
         let report = CmosAnnealerReport {
-            sweeps,
+            sweeps: sweep.sweeps(),
             total_cycles,
             wall_time: total_cycles.to_time(self.tech.cycle_time),
             energy: ledger,
             groups: 4,
         };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
-        };
-        Ok((result, report))
+        Ok((sweep.finish(graph, false), report))
     }
 }
 

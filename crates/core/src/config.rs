@@ -141,13 +141,6 @@ impl SachiConfig {
         self
     }
 
-    /// Replaces the technology parameters.
-    #[must_use]
-    pub fn with_tech(mut self, tech: TechnologyParams) -> Self {
-        self.tech = tech;
-        self
-    }
-
     /// Forces a specific IC resolution (2..=32).
     ///
     /// # Panics

@@ -25,15 +25,15 @@ use crate::config::{DesignKind, SachiConfig};
 use crate::designs::{stationarity, ComputeContext, ComputeScratch};
 use crate::encoding::MixedEncoding;
 use crate::tuple::{TuplePlanes, TupleStore};
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::energy;
 use sachi_ising::recovery::RecoveryPolicy;
-use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::solver::{IterativeSolver, SolveOptions, SolveResult, SweepLoop};
 use sachi_ising::spin::SpinVector;
+use sachi_mem::cache::CacheGeometry;
 use sachi_mem::dram::{DramController, DramStats};
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::fault::FaultInjector;
+use sachi_mem::params::TechnologyParams;
 use sachi_mem::sram::{SramTile, TileParams, TileStats};
 use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
 use sachi_mem::units::{Bits, Cycles, Nanoseconds};
@@ -351,32 +351,13 @@ impl SachiMachine {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> (SolveResult, RunReport) {
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
-        let required = graph.bits_required();
-        let resolution = match self.config.resolution {
-            Some(r) => {
-                assert!(
-                    r >= required,
-                    "resolution override {r} cannot represent coefficients needing {required} bits; \
-                     quantize the workload first"
-                );
-                r
-            }
-            None => required,
-        };
-        let enc = MixedEncoding::new(resolution).expect("resolution validated by config");
+        let mut sweep = SweepLoop::new(graph, initial, options);
+        let enc = encoding_for(&self.config, graph);
         let design = stationarity(self.config.design);
         let tech = &self.config.tech;
         let geometry = self.config.hierarchy.compute;
-        let storage = self.config.hierarchy.storage;
 
-        let mut spins = initial.clone();
-        let mut tuples = TupleStore::with_tuple_rep(graph, &spins, self.config.tuple_rep);
-        let mut annealer = Annealer::new(options.schedule, options.seed);
+        let mut tuples = TupleStore::with_tuple_rep(graph, initial, self.config.tuple_rep);
         let mut ledger = EnergyLedger::new();
         let mut ctx = ComputeContext::new();
         let mut dram = if self.config.prefetch {
@@ -421,18 +402,12 @@ impl SachiMachine {
             }
         }
         let rounds_per_sweep = count_u64(chunks.len());
-
-        // Storage-array pressure decides whether rounds stream from DRAM.
-        let storage_bits_needed = tuples.total_storage_bits(enc.bits()) + tuples.adjacency_bits();
-        let uses_dram = storage_bits_needed > storage.total_bits().get();
-
-        // Initial placement of the whole problem into DRAM (phase (a) of
-        // the Sec. V.5 cost model, charged to every machine).
-        let mut total_cycles =
-            tech.dram_stream_cycles(Bits::new(storage_bits_needed).to_bytes_ceil());
-        ledger.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * storage_bits_needed,
+        let (uses_dram, mut total_cycles) = upload_problem(
+            &tuples,
+            enc.bits(),
+            tech,
+            self.config.hierarchy.storage,
+            &mut ledger,
         );
 
         // Phase spans: cycle-domain timestamps from the accounting this
@@ -453,11 +428,6 @@ impl SachiMachine {
 
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
-        let mut annealer_decisions = 0u64;
-        let mut total_flips = 0u64;
-        let mut sweeps = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
         let schedule_fill = design.idle_cycles(count_u64(max_degree), enc.bits()) + 3;
         // Per-tile cycle sums, hoisted out of the sweep loop (zeroed per
         // round) so the hot path never allocates.
@@ -476,17 +446,11 @@ impl SachiMachine {
         let mut fault_report = FaultReport::default();
         let mut fail_fast = false;
 
-        let max_sweeps = options.effective_max_sweeps(n);
-        while sweeps < max_sweeps {
-            // Job-level cancellation (the serve daemon's drain path):
-            // stop at a sweep boundary, return the partial state.
-            if options.is_cancelled() {
-                break;
-            }
-            let mut flips_this_sweep = 0u64;
+        while sweep.begin_sweep() {
+            let sweeps = sweep.sweeps();
             for (round, chunk) in chunks.iter().enumerate() {
                 let round_start = total_cycles;
-                let flips_before_round = flips_this_sweep;
+                let flips_before_round = sweep.sweep_flips();
                 let copies_before_round = tuples.spin_copy_updates();
                 // --- loading for this round ---
                 let chunk_resident: u64 = chunk
@@ -553,7 +517,7 @@ impl SachiMachine {
                                 .neighbors
                                 .iter()
                                 .zip(tuple.neighbor_spins.iter())
-                                .all(|(&j, &s)| s == spins.get(to_index(j))),
+                                .all(|(&j, &s)| s == sweep.spins().get(to_index(j))),
                             "tuple-rep copies stale at spin {i}: the Fig. 8b update path missed a refresh"
                         );
                         design.compute_tuple_soa(
@@ -561,7 +525,7 @@ impl SachiMachine {
                             &enc,
                             tuple,
                             planes.view(i),
-                            spins.get(i),
+                            sweep.spins().get(i),
                             &mut ctx,
                             &mut scratch,
                         )
@@ -574,7 +538,7 @@ impl SachiMachine {
                     tile_sums[assigned.min(num_tiles - 1)] += tuple_cycles;
                     debug_assert_eq!(
                         h_sigma,
-                        sachi_ising::hamiltonian::local_field(graph, &spins, i),
+                        sachi_ising::hamiltonian::local_field(graph, sweep.spins(), i),
                         "hardware H_σ diverged from golden model at spin {i}"
                     );
                     if !self.config.tuple_rep {
@@ -646,12 +610,7 @@ impl SachiMachine {
                             }
                         }
                     }
-                    let current = spins.get(i);
-                    let new = decide_update(current, h_sigma, &mut annealer);
-                    annealer_decisions += 1;
-                    if new != current {
-                        spins.set(i, new);
-                        flips_this_sweep += 1;
+                    if let Some(new) = sweep.update(i, h_sigma) {
                         // Fig. 8b update path: adjacency read + relevant
                         // tuple copy writes in the storage array.
                         let copies = tuples.update_spin(i, new);
@@ -724,7 +683,7 @@ impl SachiMachine {
                         round: round_no,
                         start: total_cycles.get(),
                         end: total_cycles.get(),
-                        events: flips_this_sweep - flips_before_round,
+                        events: sweep.sweep_flips() - flips_before_round,
                     });
                     let copies = tuples.spin_copy_updates() - copies_before_round;
                     if copies > 0 {
@@ -747,55 +706,13 @@ impl SachiMachine {
                 // but it does not count as a completed iteration.
                 break;
             }
-
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
+            sweep.end_sweep(graph);
         }
 
         // Harvest the tile's compute events (layout writes intentionally
         // excluded — billed as reload traffic above).
         let stats = tile.stats();
-        ledger.record(
-            EnergyComponent::RwlDrive,
-            tech.rwl_energy_per_bit() * stats.rwl_activations,
-        );
-        ledger.record(
-            EnergyComponent::RblDischarge,
-            tech.rbl_energy_per_bit() * stats.rbl_discharges,
-        );
-        ledger.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-        );
-        if uses_dram {
-            // Driven data the storage array cannot cache re-streams from
-            // DRAM every sweep.
-            ledger.record(
-                EnergyComponent::DramAccess,
-                tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-            );
-        }
-        ledger.record(
-            EnergyComponent::NearMemoryAdd,
-            tech.adder_energy_per_bit() * ctx.adder_bit_ops,
-        );
-        ledger.record(
-            EnergyComponent::DecisionLogic,
-            tech.adder_energy_per_bit() * ctx.decisions,
-        );
-        ledger.record(
-            EnergyComponent::Annealer,
-            tech.annealer_energy_per_decision() * annealer_decisions,
-        );
+        harvest_compute_energy(&mut ledger, tech, stats, &ctx, uses_dram, sweep.decisions());
 
         // Recovery re-fetches stall the pipeline: they serialize onto
         // both the load tally and the critical path.
@@ -810,7 +727,7 @@ impl SachiMachine {
         let report = RunReport {
             design: self.config.design,
             resolution_bits: enc.bits(),
-            sweeps,
+            sweeps: sweep.sweeps(),
             rounds_per_sweep,
             compute_cycles,
             load_cycles,
@@ -827,26 +744,106 @@ impl SachiMachine {
             cross_tuple_rereads: tuples.cross_tuple_rereads(),
             prefetches: dram.prefetches_issued(),
             faults: fault_report,
-            fast_path_computes: annealer_decisions,
+            fast_path_computes: sweep.decisions(),
             scalar_path_computes: 0,
             skipped_spin_writes: scratch.skipped_spin_writes,
             tile: *stats,
             dram: dram.stats(),
             phase_spans: spans,
         };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: fault_report.degraded,
-        };
-        (result, report)
+        (sweep.finish(graph, fault_report.degraded), report)
     }
+}
+
+/// The IC encoding a SACHI machine runs `graph` at: the configured
+/// resolution override, or the minimum the coefficients need.
+///
+/// # Panics
+///
+/// Panics if an override cannot represent the graph's coefficients.
+pub(crate) fn encoding_for(config: &SachiConfig, graph: &IsingGraph) -> MixedEncoding {
+    let required = graph.bits_required();
+    let resolution = match config.resolution {
+        Some(r) => {
+            assert!(
+                r >= required,
+                "resolution override {r} cannot represent coefficients needing {required} bits; \
+                 quantize the workload first"
+            );
+            r
+        }
+        None => required,
+    };
+    MixedEncoding::new(resolution).expect("resolution validated by config")
+}
+
+/// Places the whole problem in DRAM — phase (a) of the Sec. V.5 cost
+/// model, charged to every machine. Returns whether the problem
+/// overflows the storage array (so rounds stream from DRAM) and the
+/// upload's cycles.
+pub(crate) fn upload_problem(
+    tuples: &TupleStore,
+    resolution_bits: u32,
+    tech: &TechnologyParams,
+    storage: CacheGeometry,
+    ledger: &mut EnergyLedger,
+) -> (bool, Cycles) {
+    let bits = tuples.total_storage_bits(resolution_bits) + tuples.adjacency_bits();
+    ledger.record(
+        EnergyComponent::DramAccess,
+        tech.movement_energy_per_bit() * bits,
+    );
+    (
+        bits > storage.total_bits().get(),
+        tech.dram_stream_cycles(Bits::new(bits).to_bytes_ceil()),
+    )
+}
+
+/// Books the end-of-solve compute events both SACHI machines harvest:
+/// word-line drives and bit-line discharges from the tile counters, RWL
+/// movement (re-streamed from DRAM when the storage array overflows),
+/// the near-memory adds, the decision logic, and one annealer decision
+/// per spin update.
+pub(crate) fn harvest_compute_energy(
+    ledger: &mut EnergyLedger,
+    tech: &TechnologyParams,
+    stats: &TileStats,
+    ctx: &ComputeContext,
+    uses_dram: bool,
+    decisions: u64,
+) {
+    ledger.record(
+        EnergyComponent::RwlDrive,
+        tech.rwl_energy_per_bit() * stats.rwl_activations,
+    );
+    ledger.record(
+        EnergyComponent::RblDischarge,
+        tech.rbl_energy_per_bit() * stats.rbl_discharges,
+    );
+    ledger.record(
+        EnergyComponent::DataMovement,
+        tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
+    );
+    if uses_dram {
+        // Driven data the storage array cannot cache re-streams from
+        // DRAM every sweep.
+        ledger.record(
+            EnergyComponent::DramAccess,
+            tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
+        );
+    }
+    ledger.record(
+        EnergyComponent::NearMemoryAdd,
+        tech.adder_energy_per_bit() * ctx.adder_bit_ops,
+    );
+    ledger.record(
+        EnergyComponent::DecisionLogic,
+        tech.adder_energy_per_bit() * ctx.decisions,
+    );
+    ledger.record(
+        EnergyComponent::Annealer,
+        tech.annealer_energy_per_decision() * decisions,
+    );
 }
 
 impl IterativeSolver for SachiMachine {

@@ -101,16 +101,6 @@ impl SachiContext {
         }
     }
 
-    /// Creates a context with an explicit L1 model.
-    pub fn with_l1(config: SachiConfig, l1: L1Cache) -> Self {
-        SachiContext {
-            config,
-            l1,
-            next_id: 0,
-            launches: 0,
-        }
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &SachiConfig {
         &self.config

@@ -17,18 +17,16 @@
 use crate::config::SachiConfig;
 use crate::designs::ComputeContext;
 use crate::encoding::MixedEncoding;
-use crate::machine::RunReport;
+use crate::machine::{encoding_for, harvest_compute_energy, upload_problem, RunReport};
 use crate::tuple::{SpinTuple, TupleStore};
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::energy;
-use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::solver::{IterativeSolver, SolveOptions, SolveResult, SweepLoop};
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::cache::CacheGeometry;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::sram::{gather_bits, SramTile};
 use sachi_mem::units::convert::{count_u64, to_index};
-use sachi_mem::units::{Bits, Cycles};
+use sachi_mem::units::Cycles;
 use std::fmt;
 
 /// Where a resident tuple lives.
@@ -315,30 +313,13 @@ impl ResidentN3Machine {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> (SolveResult, RunReport) {
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
-        let required = graph.bits_required();
-        let resolution = match self.config.resolution {
-            Some(r) => {
-                assert!(
-                    r >= required,
-                    "resolution override {r} cannot represent {required}-bit coefficients"
-                );
-                r
-            }
-            None => required,
-        };
-        let enc = MixedEncoding::new(resolution).expect("validated by config");
+        let mut sweep = SweepLoop::new(graph, initial, options);
+        let enc = encoding_for(&self.config, graph);
         let tech = &self.config.tech;
         let geometry = self.config.hierarchy.compute;
         let n = graph.num_spins();
 
-        let mut spins = initial.clone();
-        let mut tuples = TupleStore::with_tuple_rep(graph, &spins, self.config.tuple_rep);
-        let mut annealer = Annealer::new(options.schedule, options.seed);
+        let mut tuples = TupleStore::with_tuple_rep(graph, initial, self.config.tuple_rep);
         let mut ledger = EnergyLedger::new();
         let mut ctx = ComputeContext::new();
         let mut array = TiledComputeArray::new(geometry, enc.bits());
@@ -370,23 +351,16 @@ impl ResidentN3Machine {
             array.clear();
         }
         let rounds_per_sweep = count_u64(chunks.len());
-
-        let storage_bits_needed = tuples.total_storage_bits(enc.bits()) + tuples.adjacency_bits();
-        let uses_dram = storage_bits_needed > self.config.hierarchy.storage.total_bits().get();
-        let mut total_cycles =
-            tech.dram_stream_cycles(Bits::new(storage_bits_needed).to_bytes_ceil());
-        ledger.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * storage_bits_needed,
+        let (uses_dram, mut total_cycles) = upload_problem(
+            &tuples,
+            enc.bits(),
+            tech,
+            self.config.hierarchy.storage,
+            &mut ledger,
         );
 
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
-        let mut annealer_decisions = 0u64;
-        let mut total_flips = 0u64;
-        let mut sweeps = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
         // Placements of the currently resident chunk, indexed by spin.
         let mut placements: Vec<Option<Placement>> = vec![None; n];
         let mut resident_chunk: Option<usize> = None;
@@ -396,14 +370,7 @@ impl ResidentN3Machine {
         let num_tiles = geometry.tiles();
         let mut tile_sums = vec![0u64; num_tiles];
 
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            // Job-level cancellation (the serve daemon's drain path):
-            // stop at a sweep boundary, return the partial state.
-            if options.is_cancelled() {
-                break;
-            }
-            let mut flips_this_sweep = 0u64;
+        while sweep.begin_sweep() {
             for (round, chunk) in chunks.iter().enumerate() {
                 // --- (re)load the round if it is not resident ---
                 let mut round_load = Cycles::ZERO;
@@ -450,20 +417,15 @@ impl ResidentN3Machine {
                     let before = ctx.cycles;
                     let h_sigma = {
                         let tuple = tuples.tuple(i);
-                        array.compute_h(placement, tuple, spins.get(i), &enc, &mut ctx)
+                        array.compute_h(placement, tuple, sweep.spins().get(i), &enc, &mut ctx)
                     };
                     tile_sums[usize::from(placement.tile)] += ctx.cycles - before;
                     debug_assert_eq!(
                         h_sigma,
-                        sachi_ising::hamiltonian::local_field(graph, &spins, i),
+                        sachi_ising::hamiltonian::local_field(graph, sweep.spins(), i),
                         "resident H_σ diverged from golden at spin {i}"
                     );
-                    let current = spins.get(i);
-                    let new = decide_update(current, h_sigma, &mut annealer);
-                    annealer_decisions += 1;
-                    if new != current {
-                        spins.set(i, new);
-                        flips_this_sweep += 1;
+                    if let Some(new) = sweep.update(i, h_sigma) {
                         // Storage-array side of the update path.
                         let copies = tuples.update_spin(i, new);
                         ledger.record(
@@ -490,7 +452,7 @@ impl ResidentN3Machine {
                     Cycles::new(tile_sums.iter().copied().max().unwrap_or(0) + schedule_fill);
                 compute_cycles += round_compute;
                 load_cycles += round_load;
-                if sweeps == 0 && round == 0 {
+                if sweep.sweeps() == 0 && round == 0 {
                     total_cycles += round_load + round_compute;
                 } else if self.config.prefetch {
                     total_cycles += round_compute.max(round_load);
@@ -498,62 +460,29 @@ impl ResidentN3Machine {
                     total_cycles += round_compute + round_load;
                 }
             }
-
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
+            sweep.end_sweep(graph);
         }
 
         // Tile stats are fully physical here: layout + update writes are
         // actual bits_written events.
         let stats = array.merged_stats();
-        ledger.record(
-            EnergyComponent::RwlDrive,
-            tech.rwl_energy_per_bit() * stats.rwl_activations,
-        );
-        ledger.record(
-            EnergyComponent::RblDischarge,
-            tech.rbl_energy_per_bit() * stats.rbl_discharges,
+        harvest_compute_energy(
+            &mut ledger,
+            tech,
+            &stats,
+            &ctx,
+            uses_dram,
+            sweep.decisions(),
         );
         ledger.record(
             EnergyComponent::SramWrite,
             tech.sram_write_energy_per_bit() * stats.bits_written,
         );
-        ledger.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-        );
-        if uses_dram {
-            ledger.record(
-                EnergyComponent::DramAccess,
-                tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-            );
-        }
-        ledger.record(
-            EnergyComponent::NearMemoryAdd,
-            tech.adder_energy_per_bit() * ctx.adder_bit_ops,
-        );
-        ledger.record(
-            EnergyComponent::DecisionLogic,
-            tech.adder_energy_per_bit() * ctx.decisions,
-        );
-        ledger.record(
-            EnergyComponent::Annealer,
-            tech.annealer_energy_per_decision() * annealer_decisions,
-        );
 
         let report = RunReport {
             design: crate::config::DesignKind::N3,
             resolution_bits: enc.bits(),
-            sweeps,
+            sweeps: sweep.sweeps(),
             rounds_per_sweep,
             compute_cycles,
             load_cycles,
@@ -571,25 +500,14 @@ impl ResidentN3Machine {
             prefetches: 0,
             faults: crate::machine::FaultReport::default(),
             // The resident machine's compute_h is its only path.
-            fast_path_computes: annealer_decisions,
+            fast_path_computes: sweep.decisions(),
             scalar_path_computes: 0,
             skipped_spin_writes: 0,
             tile: stats,
             dram: sachi_mem::dram::DramStats::default(),
             phase_spans: Vec::new(),
         };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
-        };
-        (result, report)
+        (sweep.finish(graph, false), report)
     }
 }
 

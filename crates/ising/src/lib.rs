@@ -12,9 +12,10 @@
 //! * [`hamiltonian`] — eqns. 1–3: global energy, local field `H_σ`, the
 //!   sign update rule, and incremental flip deltas;
 //! * [`anneal`] — geometric schedules and the Metropolis annealer block;
-//! * [`solver`] — the shared solve protocol, the per-spin
-//!   [`solver::decide_update`] every machine uses, and the golden-model
-//!   [`solver::CpuReferenceSolver`];
+//! * [`solver`] — the shared solve protocol ([`solver::SweepLoop`],
+//!   which every hardware model drives, around the per-spin
+//!   [`solver::decide_update`]) and the golden-model
+//!   [`solver::CpuReferenceSolver`] with its own loop as the oracle;
 //! * [`ensemble`] — the deterministic parallel replica-ensemble engine
 //!   (`R` independent replicas over `T` scoped threads, bit-identical
 //!   at every `T`);

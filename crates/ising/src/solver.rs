@@ -1,14 +1,18 @@
 //! The iterative solve protocol and the golden-model CPU solver.
 //!
 //! Every Ising machine in this workspace — the four SACHI stationarity
-//! designs, BRIM, and Ising-CIM — executes the *same* algorithm: sweep the
-//! spins, update each by the sign rule (eqn. 3), and let the shared
-//! annealer block propose Metropolis uphill flips. The paper leans on this
-//! ("the number of iterations across SACHI designs is the same, as they all
-//! arrive at the same H at the end of each iteration"), and we enforce it:
-//! the per-spin decision lives in [`decide_update`], and integration tests
-//! assert that every machine's H trajectory equals
-//! [`CpuReferenceSolver`]'s.
+//! designs, the resident n3 machine, BRIM, and Ising-CIM — executes the
+//! *same* algorithm: sweep the spins, update each by the sign rule
+//! (eqn. 3), and let the shared annealer block propose Metropolis uphill
+//! flips. The paper leans on this ("the number of iterations across SACHI
+//! designs is the same, as they all arrive at the same H at the end of
+//! each iteration"). Two things enforce it. Every hardware model drives
+//! one [`SweepLoop`], which owns the spins, the annealer, the counters,
+//! the sweep cap and cancellation, the freeze/cool/converge rule, and the
+//! [`SolveResult`]; its per-spin call wraps [`decide_update`]. And the
+//! golden differential tests assert that every machine's H trajectory
+//! equals [`CpuReferenceSolver`]'s, whose loop is written out separately
+//! so the oracle does not share code with what it checks.
 //!
 //! Update visibility is *sequential within a sweep* (an updated spin is
 //! seen by later spins of the same sweep). In SACHI hardware this is the
@@ -250,6 +254,171 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
     current
 }
 
+/// One solve's run of the shared protocol: the state and rules every
+/// hardware model drives, with the model's own accounting kept outside.
+///
+/// It owns the spins, the [`Annealer`], the sweep/flip/decision/trace
+/// counters, the sweep cap ([`SolveOptions::effective_max_sweeps`]) and
+/// the cancellation check, the freeze/cool/converge rule, and the
+/// [`SolveResult`] assembly. A machine's loop reads:
+///
+/// ```text
+/// let mut sweep = SweepLoop::new(graph, initial, options);
+/// while sweep.begin_sweep() {
+///     for i in ... { let h = /* the machine's H_σ */; sweep.update(i, h); }
+///     sweep.end_sweep(graph);
+/// }
+/// sweep.finish(graph, degraded)
+/// ```
+///
+/// A machine that aborts mid-sweep (a fail-fast fault) leaves the loop
+/// without [`SweepLoop::end_sweep`]: the aborted sweep's spin writes
+/// stay, but it is not counted, its flips are not added to
+/// [`SolveResult::flips`], no trace entry is pushed, and the annealer
+/// does not cool.
+#[derive(Debug)]
+pub struct SweepLoop {
+    spins: SpinVector,
+    annealer: Annealer,
+    max_sweeps: u64,
+    cancel: Option<CancelToken>,
+    record_trace: bool,
+    trace: Vec<i64>,
+    sweeps: u64,
+    flips: u64,
+    sweep_flips: u64,
+    decisions: u64,
+    converged: bool,
+}
+
+impl SweepLoop {
+    /// Starts a solve of `graph` from `initial` under `options`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the initial spin vector does not match the graph.
+    pub fn new(graph: &IsingGraph, initial: &SpinVector, options: &SolveOptions) -> Self {
+        assert_eq!(
+            initial.len(),
+            graph.num_spins(),
+            "initial spins must match graph size"
+        );
+        SweepLoop {
+            spins: initial.clone(),
+            annealer: Annealer::new(options.schedule, options.seed),
+            max_sweeps: options.effective_max_sweeps(graph.num_spins()),
+            cancel: options.cancel.clone(),
+            record_trace: options.record_trace,
+            trace: Vec::new(),
+            sweeps: 0,
+            flips: 0,
+            sweep_flips: 0,
+            decisions: 0,
+            converged: false,
+        }
+    }
+
+    /// Opens the next sweep. False once the solve has converged, reached
+    /// its sweep cap, or had its [`CancelToken`] raised — the caller's
+    /// loop ends there.
+    #[inline]
+    pub fn begin_sweep(&mut self) -> bool {
+        if self.converged
+            || self.sweeps >= self.max_sweeps
+            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+        {
+            return false;
+        }
+        self.sweep_flips = 0;
+        true
+    }
+
+    /// Decides spin `i` from its local field `h_sigma` with
+    /// [`decide_update`] and applies the result. Returns the new value
+    /// when the spin flipped, so the caller can run its update path.
+    #[inline]
+    pub fn update(&mut self, i: usize, h_sigma: i64) -> Option<Spin> {
+        let current = self.spins.get(i);
+        let new = decide_update(current, h_sigma, &mut self.annealer);
+        self.decisions += 1;
+        if new == current {
+            return None;
+        }
+        self.spins.set(i, new);
+        self.sweep_flips += 1;
+        Some(new)
+    }
+
+    /// Applies a flip of spin `i` to `new` decided outside
+    /// [`SweepLoop::update`] — for a machine whose update rule is not the
+    /// sequential protocol's (the group-parallel CMOS annealer).
+    #[inline]
+    pub fn flip(&mut self, i: usize, new: Spin) {
+        self.spins.set(i, new);
+        self.sweep_flips += 1;
+    }
+
+    /// Closes a completed sweep: counts it and its flips, records the
+    /// trace entry, cools the annealer, and detects convergence (no flip
+    /// in a full sweep with the annealer frozen).
+    pub fn end_sweep(&mut self, graph: &IsingGraph) {
+        self.sweeps += 1;
+        self.flips += self.sweep_flips;
+        if self.record_trace {
+            self.trace.push(energy(graph, &self.spins));
+        }
+        let frozen = self.annealer.is_frozen();
+        self.annealer.cool();
+        self.converged = self.sweep_flips == 0 && frozen;
+    }
+
+    /// The current spins.
+    #[inline]
+    pub fn spins(&self) -> &SpinVector {
+        &self.spins
+    }
+
+    /// The annealer block, for a machine with its own acceptance rule.
+    #[inline]
+    pub fn annealer(&self) -> &Annealer {
+        &self.annealer
+    }
+
+    /// Completed sweeps — also the index of the sweep in progress.
+    #[inline]
+    pub fn sweeps(&self) -> u64 {
+        self.sweeps
+    }
+
+    /// Flips applied so far in the sweep in progress.
+    #[inline]
+    pub fn sweep_flips(&self) -> u64 {
+        self.sweep_flips
+    }
+
+    /// Annealer decisions made so far: every [`SweepLoop::update`] call,
+    /// an aborted sweep's included.
+    #[inline]
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Assembles the outcome. `degraded` is the machine's fault verdict.
+    pub fn finish(self, graph: &IsingGraph, degraded: bool) -> SolveResult {
+        SolveResult {
+            energy: energy(graph, &self.spins),
+            spins: self.spins,
+            sweeps: self.sweeps,
+            flips: self.flips,
+            converged: self.converged,
+            trace: self.trace,
+            uphill_accepted: self.annealer.uphill_accepted(),
+            uphill_rejected: self.annealer.uphill_rejected(),
+            degraded,
+        }
+    }
+}
+
 /// An iterative Ising machine: anything that can run the solve protocol.
 pub trait IterativeSolver {
     /// Runs the solve from `initial` and returns the outcome.
@@ -263,7 +432,8 @@ pub trait IterativeSolver {
 
 /// Golden-model software solver: the exact protocol with none of the
 /// hardware modeling. Architecture simulators must match its output
-/// bit-for-bit.
+/// bit-for-bit. Its loop deliberately does not use [`SweepLoop`]: it is
+/// the independent oracle the machines' shared loop is checked against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuReferenceSolver;
 

@@ -361,23 +361,6 @@ impl SramTile {
         Ok(self.bit_unchecked(row, col))
     }
 
-    /// Reads a column range of a row in normal mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] on out-of-bounds.
-    pub fn read_range(&mut self, row: usize, cols: Range<usize>) -> Result<Vec<bool>, AccessError> {
-        if cols.end > self.cols {
-            return Err(AccessError::new(format!(
-                "read range end {} > {} cols",
-                cols.end, self.cols
-            )));
-        }
-        self.check(row, 0)?;
-        self.stats.bits_read += count_u64(cols.len());
-        Ok(cols.map(|c| self.bit_unchecked(row, c)).collect())
-    }
-
     /// Peeks a bit without booking any access energy (testing/debug).
     pub fn peek(&self, row: usize, col: usize) -> Option<bool> {
         if row < self.rows && col < self.cols {
@@ -1068,10 +1051,6 @@ mod tests {
         let mut t = tile_with_pattern();
         assert!(t.read_bit(0, 0).unwrap());
         assert!(!t.read_bit(0, 1).unwrap());
-        assert_eq!(
-            t.read_range(0, 0..6).unwrap(),
-            vec![true, false, true, true, false, false]
-        );
     }
 
     #[test]

@@ -252,12 +252,6 @@ impl Picojoules {
         self.0
     }
 
-    /// Converts to microjoules (used for whole-solve totals).
-    #[inline]
-    pub fn to_microjoules(self) -> f64 {
-        self.0 * 1e-6
-    }
-
     /// Ratio of two energies (improvement factors).
     #[inline]
     pub fn ratio(self, rhs: Picojoules) -> f64 {

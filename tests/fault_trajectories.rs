@@ -3,23 +3,29 @@
 //! The other fault suites compare one configuration with another (thread
 //! counts, zero rate vs no model). This one pins absolute outcomes: one
 //! faulted molecular-dynamics solve per design, at read BER 1e-3, under
-//! `retry:3` and `failfast`. Best energy, sweep count, the whole
-//! `FaultReport`, total cycles, and the bit pattern of the energy total
-//! must reproduce exactly — so any change to which kernel runs, or to
-//! the order the fault stream is drawn in, shows up here.
+//! `retry:3` and `failfast`. Best energy, sweep count, flip count, the
+//! annealer's uphill accept/reject counts, the whole `FaultReport`,
+//! total cycles, and the bit pattern of the energy total must reproduce
+//! exactly — so any change to which kernel runs, or to the order the
+//! fault stream is drawn in, shows up here. The `failfast` rows also pin
+//! the aborted-sweep rule: the sweep a fail-fast abort cuts short is not
+//! counted and its flips are not added, though its annealer decisions
+//! were made.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::prelude::*;
 
-/// `(design, policy, energy, sweeps, [flips, fetches, detected,
-/// undetected, retries, refetch cycles, dram bits], degraded, total
-/// cycles, energy-total bits)`.
+/// `(design, policy, energy, sweeps, [spin flips, uphill accepted,
+/// uphill rejected], [injected flips, fetches, detected, undetected,
+/// retries, refetch cycles, dram bits], degraded, total cycles,
+/// energy-total bits)`.
 type Pin = (
     DesignKind,
     RecoveryPolicy,
     i64,
     u64,
+    [u64; 3],
     [u64; 7],
     bool,
     u64,
@@ -29,18 +35,20 @@ type Pin = (
 const RETRY3: RecoveryPolicy = RecoveryPolicy::RefetchRetry { max_retries: 3 };
 const FAILFAST: RecoveryPolicy = RecoveryPolicy::FailFast;
 
-/// Recorded from the scalar kernel; faults strike the tuple fetch after
-/// the kernel returns, so the SoA kernel must reproduce every value.
+/// Recorded from the scalar kernel, and the flip/uphill column from the
+/// per-machine sweep loops the shared `SweepLoop` replaced; faults strike
+/// the tuple fetch after the kernel returns, so the SoA kernel and the
+/// shared loop must reproduce every value.
 #[rustfmt::skip]
 const EXPECTED: [Pin; 8] = [
-    (DesignKind::N1a, RETRY3, -704, 55, [130, 128, 126, 2, 126, 2646, 0], false, 10593, 4683325481593570591),
-    (DesignKind::N1a, FAILFAST, -32, 0, [1, 1, 1, 0, 0, 0, 0], true, 171, 4660092949676330844),
-    (DesignKind::N1b, RETRY3, -704, 55, [130, 128, 126, 2, 126, 2646, 0], false, 9438, 4683325481593570591),
-    (DesignKind::N1b, FAILFAST, -32, 0, [1, 1, 1, 0, 0, 0, 0], true, 66, 4660092949676330844),
-    (DesignKind::N2, RETRY3, -704, 55, [130, 128, 126, 2, 126, 2646, 0], false, 4545, 4675420855075696803),
-    (DesignKind::N2, FAILFAST, -32, 0, [1, 1, 1, 0, 0, 0, 0], true, 42, 4661815544922840760),
-    (DesignKind::N3, RETRY3, -704, 55, [130, 128, 126, 2, 126, 2646, 0], false, 3170, 4670520797668751442),
-    (DesignKind::N3, FAILFAST, -32, 0, [1, 1, 1, 0, 0, 0, 0], true, 35, 4662229670479884452),
+    (DesignKind::N1a, RETRY3, -704, 55, [139, 52, 3313], [130, 128, 126, 2, 126, 2646, 0], false, 10593, 4683325481593570591),
+    (DesignKind::N1a, FAILFAST, -32, 0, [0, 1, 8], [1, 1, 1, 0, 0, 0, 0], true, 171, 4660092949676330844),
+    (DesignKind::N1b, RETRY3, -704, 55, [139, 52, 3313], [130, 128, 126, 2, 126, 2646, 0], false, 9438, 4683325481593570591),
+    (DesignKind::N1b, FAILFAST, -32, 0, [0, 1, 8], [1, 1, 1, 0, 0, 0, 0], true, 66, 4660092949676330844),
+    (DesignKind::N2, RETRY3, -704, 55, [139, 52, 3313], [130, 128, 126, 2, 126, 2646, 0], false, 4545, 4675420855075696803),
+    (DesignKind::N2, FAILFAST, -32, 0, [0, 1, 8], [1, 1, 1, 0, 0, 0, 0], true, 42, 4661815544922840760),
+    (DesignKind::N3, RETRY3, -704, 55, [139, 52, 3313], [130, 128, 126, 2, 126, 2646, 0], false, 3170, 4670520797668751442),
+    (DesignKind::N3, FAILFAST, -32, 0, [0, 1, 8], [1, 1, 1, 0, 0, 0, 0], true, 35, 4662229670479884452),
 ];
 
 fn faulted_solve(design: DesignKind, policy: RecoveryPolicy) -> Pin {
@@ -58,6 +66,7 @@ fn faulted_solve(design: DesignKind, policy: RecoveryPolicy) -> Pin {
         policy,
         result.energy,
         result.sweeps,
+        [result.flips, result.uphill_accepted, result.uphill_rejected],
         [
             f.injected_flips,
             f.corrupted_fetches,

@@ -129,6 +129,44 @@ fn all_machines_agree_with_each_other_on_shared_envelope() {
 }
 
 #[test]
+fn pre_cancelled_token_stops_every_hardware_model_before_the_first_sweep() {
+    // Cancellation is part of the shared protocol loop, so every machine
+    // that drives it honours a raised token at the first sweep boundary.
+    let side = 6;
+    let w = MolecularDynamics::with_resolution(side, side, 31, 2);
+    let graph = w.graph();
+    let mut rng = StdRng::seed_from_u64(10);
+    let init = SpinVector::random(graph.num_spins(), &mut rng);
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = SolveOptions::for_graph(graph, 41).with_cancel(token);
+    let check = |label: &str, got: &SolveResult| {
+        assert_eq!(got.sweeps, 0, "{label}: sweeps");
+        assert_eq!(got.spins, init, "{label}: spins");
+        assert!(!got.converged, "{label}: converged");
+    };
+
+    for design in DesignKind::ALL {
+        let got = SachiMachine::new(SachiConfig::new(design)).solve(graph, &init, &opts);
+        check(design.label(), &got);
+    }
+    let got = ResidentN3Machine::new(SachiConfig::new(DesignKind::N3)).solve(graph, &init, &opts);
+    check("resident n3", &got);
+    let (got, _) = BrimMachine::new()
+        .solve_detailed(graph, &init, &opts)
+        .expect("BRIM envelope");
+    check("BRIM", &got);
+    let (got, _) = CimMachine::new()
+        .solve_detailed(graph, &init, &opts)
+        .expect("CIM envelope");
+    check("Ising-CIM", &got);
+    let (got, _) = CmosAnnealer::new(side)
+        .solve_detailed(graph, &init, &opts)
+        .expect("CMOS envelope");
+    check("CMOS annealer", &got);
+}
+
+#[test]
 fn threaded_ensembles_match_sequential_golden_runs_on_every_design() {
     // Differential conformance for the parallel replica path: each SACHI
     // design, run as a 4-replica / 4-thread ensemble, must equal a

@@ -104,7 +104,8 @@ proptest! {
     /// Accounting invariants hold across families and designs: the ledger
     /// total equals the sum of its components, XNOR work is bounded by
     /// discharge-capable bits, and BRIM/CIM keep reuse exactly 1 inside
-    /// their envelopes.
+    /// their envelopes; inside its envelope BRIM also returns the golden
+    /// result.
     #[test]
     fn ledgers_and_reuse_invariants(family in 0usize..5, salt in 0u64..10_000) {
         let graph = family_graph(family, salt);
@@ -119,7 +120,9 @@ proptest! {
             prop_assert!(report.xnor_ops >= report.rwl_bits_fetched,
                 "{}: XNOR ops below RWL fetches", design);
         }
-        if let Ok((_, brim)) = BrimMachine::new().solve_detailed(&graph, &init, &opts) {
+        if let Ok((result, brim)) = BrimMachine::new().solve_detailed(&graph, &init, &opts) {
+            let golden = CpuReferenceSolver::new().solve(&graph, &init, &opts);
+            prop_assert_eq!(result, golden, "BRIM diverged on family {}", family);
             prop_assert!((brim.reuse - 1.0).abs() < f64::EPSILON);
         }
         if let Ok((_, cim)) = CimMachine::new().solve_detailed(&graph, &init, &opts) {
